@@ -11,19 +11,22 @@
 // Vertex ids are dense ints in [0, N). Edges are unordered pairs; the Edges
 // slice lists each edge once with U < V.
 //
-// The package also hosts the worker-pool evaluation kernels the measurement
-// layers build on (parallel.go, bitbfs.go): ParallelBFSFrom /
-// ParallelBFSSweep for scalar multi-source BFS with per-worker reusable
-// scratch, BitBFS and its BitParallelBFS* drivers advancing 64 sources per
-// adjacency walk into row-major FlatDist tables, the adaptive
-// MultiSourceBFSFrom / MultiSourceBFSSweep dispatchers that pick between
-// the two by graph density alone, ParallelEdgeSweep for per-edge work, and
-// ParallelRangeWorkers as the generic chunked loop. All of them honor one
-// determinism contract — for a fixed input, results are identical for
-// every worker count — which is what lets the experiment harness
-// (internal/experiments), spanner validation (internal/spanner), and
-// congestion accounting (internal/routing) parallelize without perturbing
-// reported numbers. See DESIGN.md §9 and §12.
+// The package also hosts the repository's one worker pool and the
+// evaluation kernels built on it (parallel.go, bitbfs.go).
+// ParallelRangeWorkers is the pool: dynamically claimed chunks, a worker
+// index for per-worker scratch, WorkersFor to size that scratch, and a
+// worker's panic re-raised on the caller. On top of it sit
+// ParallelBFSFrom / ParallelBFSSweep for scalar multi-source BFS with
+// per-worker reusable scratch, BitBFS and its BitParallelBFS* drivers
+// advancing 64 sources per adjacency walk into row-major FlatDist tables,
+// the adaptive MultiSourceBFSFrom / MultiSourceBFSSweep dispatchers that
+// pick between the two by graph density alone, and ParallelForEachEdge
+// for per-edge work. All of them honor one determinism contract — for a
+// fixed input, results are identical for every worker count — which is
+// what lets the experiment harness (internal/experiments), spanner
+// validation (internal/spanner), and congestion accounting
+// (internal/routing) parallelize without perturbing reported numbers. See
+// DESIGN.md §9 and §12.
 package graph
 
 import (

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -16,9 +18,11 @@ func Workers() int {
 	return w
 }
 
-// clampWorkers resolves a caller-supplied worker count: values <= 0 mean
-// Workers(), and the pool never exceeds the number of work items.
-func clampWorkers(workers, items int) int {
+// WorkersFor resolves a caller-supplied worker count the way
+// ParallelRangeWorkers does: values <= 0 mean Workers(), and the pool
+// never exceeds the number of work items. Callers size per-worker
+// scratch with it.
+func WorkersFor(workers, items int) int {
 	if workers <= 0 {
 		workers = Workers()
 	}
@@ -31,12 +35,13 @@ func clampWorkers(workers, items int) int {
 	return workers
 }
 
-// ParallelRangeWorkers processes [0, n) on a pool of exactly `workers`
-// goroutines (0 means Workers()). Unlike ParallelRange it hands out work
-// in small dynamically-claimed chunks, so uneven per-item cost (a BFS that
-// terminates early, a cache hit) does not straggle the pool, and it passes
-// the worker index w in [0, workers) to fn so each worker can own reusable
-// scratch (a BFSScratch, a distance buffer) across all chunks it claims.
+// ParallelRangeWorkers is the repository's one worker pool. It processes
+// [0, n) on exactly WorkersFor(workers, n) goroutines (0 means Workers()),
+// handing out work in small dynamically claimed chunks, so uneven
+// per-item cost (a BFS that terminates early, a cache hit) does not
+// straggle the pool. It passes the worker index w in [0, workers) to fn
+// so each worker can own reusable scratch (a BFSScratch, a distance
+// buffer) across all chunks it claims.
 //
 // Determinism contract: which worker processes which index is
 // schedule-dependent, so fn must write results only into per-index slots
@@ -44,11 +49,17 @@ func clampWorkers(workers, items int) int {
 // order-independently afterwards. Under that discipline the result is
 // byte-identical for every worker count, including workers == 1, which
 // runs fn(0, 0, n) inline with no goroutines at all.
+//
+// Panics: a panic in fn on a pool goroutine stops the hand-out of further
+// chunks and, once every worker has returned, is re-raised on the
+// caller's goroutine with the worker's stack attached, so a caller's
+// recover sees it exactly as it would at workers == 1. When several
+// workers panic, the first one recovered wins.
 func ParallelRangeWorkers(n, workers int, fn func(w, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers = clampWorkers(workers, n)
+	workers = WorkersFor(workers, n)
 	if workers == 1 {
 		fn(0, 0, n)
 		return
@@ -56,80 +67,55 @@ func ParallelRangeWorkers(n, workers int, fn func(w, lo, hi int)) {
 	// Chunks are sized so each worker claims ~8 of them on average: small
 	// enough to balance variable per-item cost, large enough that the
 	// atomic claim is negligible against any non-trivial fn.
-	chunk := n / (8 * workers)
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk := max(n/(8*workers), 1)
 	var next atomic.Int64
+	var failed atomic.Pointer[workerPanic]
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					next.Store(int64(n)) // every later claim lands past the end
+					failed.CompareAndSwap(nil, &workerPanic{value: v, stack: debug.Stack()})
+				}
+			}()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(w, lo, hi)
+				fn(w, lo, min(lo+chunk, n))
 			}
 		}(w)
 	}
 	wg.Wait()
+	if p := failed.Load(); p != nil {
+		panic(p)
+	}
 }
 
-// ParallelRange splits [0, n) into contiguous chunks and invokes fn(lo, hi)
-// for each chunk on a bounded pool of workers. fn must be safe to call
-// concurrently for disjoint ranges. It is a no-op for n <= 0.
-func ParallelRange(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+// workerPanic is the value ParallelRangeWorkers re-raises on its caller:
+// the worker's original panic value plus the stack it panicked on, which
+// the caller's own stack trace would otherwise lose.
+type workerPanic struct {
+	value any
+	stack []byte
 }
 
-// ParallelForEachEdge invokes fn(i, e) for every edge index i in parallel
-// chunks. fn must not mutate shared state without its own synchronization;
-// the idiomatic pattern is writing to out[i].
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("%v\n\npool worker stack:\n%s", p.value, p.stack)
+}
+
+// ParallelForEachEdge invokes fn(i, e) for every edge index i on the
+// worker pool. fn must not mutate shared state without its own
+// synchronization; the idiomatic pattern is writing to out[i].
 func (g *Graph) ParallelForEachEdge(fn func(i int, e Edge)) {
 	edges := g.edges
-	ParallelRange(len(edges), func(lo, hi int) {
+	ParallelRangeWorkers(len(edges), 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i, edges[i])
-		}
-	})
-}
-
-// ParallelForEachVertex invokes fn(v) for every vertex in parallel chunks.
-func (g *Graph) ParallelForEachVertex(fn func(v int32)) {
-	ParallelRange(g.n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			fn(int32(v))
 		}
 	})
 }
@@ -290,7 +276,7 @@ func (s *BFSScratch) BFSFrom(g *Graph, src int32, dist []int32) {
 // its own row.
 func (g *Graph) ParallelBFSFrom(sources []int32, workers int) *FlatDist {
 	out := NewFlatDist(len(sources), g.n)
-	scratch := make([]*BFSScratch, clampWorkers(workers, len(sources)))
+	scratch := make([]*BFSScratch, WorkersFor(workers, len(sources)))
 	ParallelRangeWorkers(len(sources), workers, func(w, lo, hi int) {
 		s := scratch[w]
 		if s == nil {
@@ -318,7 +304,7 @@ func (g *Graph) ParallelBFSSweep(sources []int32, workers int, visit func(i int,
 		scratch *BFSScratch
 		dist    []int32
 	}
-	states := make([]state, clampWorkers(workers, len(sources)))
+	states := make([]state, WorkersFor(workers, len(sources)))
 	ParallelRangeWorkers(len(sources), workers, func(w, lo, hi int) {
 		st := &states[w]
 		if st.scratch == nil {
@@ -330,24 +316,4 @@ func (g *Graph) ParallelBFSSweep(sources []int32, workers int, visit func(i int,
 			visit(i, sources[i], st.dist)
 		}
 	})
-}
-
-// ParallelEdgeSweep invokes fn for dynamically-balanced contiguous ranges
-// of the edge list on a pool of `workers` goroutines (0 means Workers()).
-// The worker index w lets fn key per-worker scratch; edges is the graph's
-// full edge slice (do not modify). It is the parallel edge-sweep helper
-// behind the per-edge stretch verification kernel: fn typically runs a
-// bounded BFS per edge and writes one result per edge index.
-func (g *Graph) ParallelEdgeSweep(workers int, fn func(w, lo, hi int, edges []Edge)) {
-	edges := g.edges
-	ParallelRangeWorkers(len(edges), workers, func(w, lo, hi int) {
-		fn(w, lo, hi, edges)
-	})
-}
-
-// ParallelAllDistancesFrom computes BFS distances from each source in
-// sources concurrently with the default worker count, returning the flat
-// distance table. It is ParallelBFSFrom(sources, 0).
-func (g *Graph) ParallelAllDistancesFrom(sources []int32) *FlatDist {
-	return g.ParallelBFSFrom(sources, 0)
 }

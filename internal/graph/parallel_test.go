@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -49,6 +51,32 @@ func TestParallelRangeWorkersCoversRangeExactlyOnce(t *testing.T) {
 	ParallelRangeWorkers(-3, 4, func(w, lo, hi int) { t.Error("fn called for n<0") })
 }
 
+// A panic in one chunk must reach the caller's recover at any worker
+// count, carrying the original value (and, off the inline path, the
+// worker's stack).
+func TestParallelRangeWorkersReraisesWorkerPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			ParallelRangeWorkers(1000, workers, func(w, lo, hi int) {
+				if lo <= 500 && 500 < hi {
+					panic("boom at 500")
+				}
+			})
+			return nil
+		}()
+		if got == nil {
+			t.Fatalf("workers=%d: panic did not reach the caller", workers)
+		}
+		if msg := fmt.Sprint(got); !strings.Contains(msg, "boom at 500") {
+			t.Fatalf("workers=%d: recovered %q, want it to contain the original panic value", workers, msg)
+		}
+		if workers > 1 && !strings.Contains(fmt.Sprint(got), "goroutine") {
+			t.Errorf("workers=%d: re-raised panic carries no worker stack", workers)
+		}
+	}
+}
+
 func TestParallelBFSFromMatchesSerialBFS(t *testing.T) {
 	g := randomKernelGraph(400, 1500, 11)
 	sources := make([]int32, 0, 50)
@@ -92,29 +120,6 @@ func TestParallelBFSSweepStreamsEverySource(t *testing.T) {
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: sweep distances differ from serial BFS", workers)
-		}
-	}
-}
-
-func TestParallelEdgeSweepVisitsEveryEdgeOnce(t *testing.T) {
-	g := randomKernelGraph(150, 700, 9)
-	for _, workers := range []int{1, 4} {
-		visited := make([]atomic.Int32, g.M())
-		g.ParallelEdgeSweep(workers, func(w, lo, hi int, edges []Edge) {
-			if len(edges) != g.M() {
-				t.Errorf("edge slice has %d edges, want %d", len(edges), g.M())
-			}
-			for i := lo; i < hi; i++ {
-				if edges[i] != g.Edges()[i] {
-					t.Errorf("edge %d mismatch", i)
-				}
-				visited[i].Add(1)
-			}
-		})
-		for i := range visited {
-			if got := visited[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: edge %d visited %d times", workers, i, got)
-			}
 		}
 	}
 }

@@ -12,7 +12,6 @@ package local
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -110,30 +109,20 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 func (n *Network) RunRound(h Handler) {
 	numNodes := n.g.N()
 	ctxs := make([]*NodeCtx, numNodes)
-	graph.ParallelRange(numNodes, func(lo, hi int) {
+	graph.ParallelRangeWorkers(numNodes, 0, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			ctx := &NodeCtx{ID: int32(v), Round: n.RoundsRun, Inbox: n.inboxes[v], net: n}
 			h(ctx)
 			ctxs[v] = ctx
 		}
 	})
-	// Synchronous delivery barrier.
+	// Synchronous delivery barrier. Delivery must be sequential per
+	// recipient; group by recipient.
 	next := make([][]Message, numNodes)
-	var sent int64
-	var mu sync.Mutex
-	graph.ParallelRange(numNodes, func(lo, hi int) {
-		local := int64(0)
-		for v := lo; v < hi; v++ {
-			local += int64(len(ctxs[v].outbox))
-		}
-		mu.Lock()
-		sent += local
-		mu.Unlock()
-	})
-	// Delivery must be sequential per recipient; group by recipient.
-	var words int64
+	var sent, words int64
 	maxWords := n.MaxMessageWords
 	for v := 0; v < numNodes; v++ {
+		sent += int64(len(ctxs[v].outbox))
 		for _, m := range ctxs[v].outbox {
 			w := payloadWords(m.payload)
 			words += int64(w)

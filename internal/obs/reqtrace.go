@@ -15,12 +15,12 @@ import (
 // is why it must stay within six bits — the flags byte spends one bit on
 // sampling and reserves the top bit.
 const (
-	PathCache uint8 = 1 << iota // sharded-LRU cache hit (landmark-bibfs backend)
-	PathLandmark                // landmark upper bound was tight enough
-	PathBiBFS                   // bounded bidirectional BFS
-	PathBulk                    // bulk multi-source BFS sweep (batch arm)
-	PathExact                   // precomputed all-pairs table (exact-cached backend)
-	PathHub                     // hub bunch hit or hub upper bound (sparse-hub backend)
+	PathCache    uint8 = 1 << iota // sharded-LRU cache hit (landmark-bibfs backend)
+	PathLandmark                   // landmark upper bound was tight enough
+	PathBiBFS                      // bounded bidirectional BFS
+	PathBulk                       // bulk multi-source BFS sweep (batch arm)
+	PathExact                      // precomputed all-pairs table (exact-cached backend)
+	PathHub                        // hub bunch hit or hub upper bound (sparse-hub backend)
 )
 
 // PathString renders a path mask ("cache|bibfs"; "none" for zero).

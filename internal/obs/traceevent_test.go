@@ -25,13 +25,13 @@ func TestWriteTraceEvents(t *testing.T) {
 	}
 	var out struct {
 		TraceEvents []struct {
-			Name string            `json:"name"`
-			Cat  string            `json:"cat"`
-			Ph   string            `json:"ph"`
-			TS   float64           `json:"ts"`
-			Dur  float64           `json:"dur"`
-			PID  int               `json:"pid"`
-			TID  int               `json:"tid"`
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			TS   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			PID  int            `json:"pid"`
+			TID  int            `json:"tid"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`

@@ -107,14 +107,18 @@ func (b *sparseBackend) rebuild(h *graph.Graph) {
 			}
 		}
 	}
-	// Grow bunches in parallel: each worker owns a contiguous vertex
-	// range with private BFS scratch, writing only its own bunches[u]
-	// slots, so the build is deterministic at any worker count.
+	// Grow bunches in parallel: each worker owns private BFS scratch,
+	// reused across the vertex chunks it claims, and writes only the
+	// bunches[u] slots of those chunks, so the build is deterministic at
+	// any worker count.
 	bunches := make([][]bunchEntry, n)
+	scratch := make([]*bunchScratch, graph.WorkersFor(b.workers, n))
 	graph.ParallelRangeWorkers(n, b.workers, func(w, lo, hi int) {
-		bs := newBunchScratch(n)
+		if scratch[w] == nil {
+			scratch[w] = newBunchScratch(n)
+		}
 		for u := lo; u < hi; u++ {
-			bunches[u] = bs.grow(h, int32(u), dA[u])
+			bunches[u] = scratch[w].grow(h, int32(u), dA[u])
 		}
 	})
 	b.h, b.hubs = h, hubs

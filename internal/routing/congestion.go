@@ -23,13 +23,7 @@ func (r *Routing) NodeCongestionProfileWorkers(n, workers int) []int {
 	if len(r.Paths) == 0 {
 		return counts
 	}
-	w := workers
-	if w <= 0 {
-		w = graph.Workers()
-	}
-	if w > len(r.Paths) {
-		w = len(r.Paths)
-	}
+	w := graph.WorkersFor(workers, len(r.Paths))
 	if w == 1 {
 		countPaths(r.Paths, 0, counts, newStamp(n))
 		return counts

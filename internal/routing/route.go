@@ -28,11 +28,15 @@ func (e *errOnce) set(err error) {
 func ShortestPaths(g *graph.Graph, prob Problem) (*Routing, error) {
 	paths := make([]Path, len(prob))
 	var eo errOnce
-	graph.ParallelRange(len(prob), func(lo, hi int) {
-		scratch := graph.NewBFSScratch(g.N())
-		parent := make([]int32, g.N())
+	scratch := make([]*graph.BFSScratch, graph.WorkersFor(0, len(prob)))
+	parents := make([][]int32, len(scratch))
+	graph.ParallelRangeWorkers(len(prob), 0, func(w, lo, hi int) {
+		if scratch[w] == nil {
+			scratch[w], parents[w] = graph.NewBFSScratch(g.N()), make([]int32, g.N())
+		}
+		s, parent := scratch[w], parents[w]
 		for i := lo; i < hi; i++ {
-			p := scratch.PathWithin(g, prob[i].Src, prob[i].Dst, -1, parent)
+			p := s.PathWithin(g, prob[i].Src, prob[i].Dst, -1, parent)
 			if p == nil {
 				eo.set(fmt.Errorf("routing: pair (%d,%d) disconnected", prob[i].Src, prob[i].Dst))
 				return
@@ -61,17 +65,21 @@ func Valiant(g *graph.Graph, prob Problem, r *rng.RNG) (*Routing, error) {
 	}
 	paths := make([]Path, len(prob))
 	var eo errOnce
-	graph.ParallelRange(len(prob), func(lo, hi int) {
-		scratch := graph.NewBFSScratch(n)
-		parent := make([]int32, n)
+	scratch := make([]*graph.BFSScratch, graph.WorkersFor(0, len(prob)))
+	parents := make([][]int32, len(scratch))
+	graph.ParallelRangeWorkers(len(prob), 0, func(w, lo, hi int) {
+		if scratch[w] == nil {
+			scratch[w], parents[w] = graph.NewBFSScratch(n), make([]int32, n)
+		}
+		s, parent := scratch[w], parents[w]
 		for i := lo; i < hi; i++ {
 			src, dst, mid := prob[i].Src, prob[i].Dst, mids[i]
-			p1 := scratch.PathWithin(g, src, mid, -1, parent)
+			p1 := s.PathWithin(g, src, mid, -1, parent)
 			if p1 == nil {
 				eo.set(fmt.Errorf("routing: (%d,%d) unreachable", src, mid))
 				return
 			}
-			p2 := scratch.PathWithin(g, mid, dst, -1, parent)
+			p2 := s.PathWithin(g, mid, dst, -1, parent)
 			if p2 == nil {
 				eo.set(fmt.Errorf("routing: (%d,%d) unreachable", mid, dst))
 				return

@@ -95,6 +95,11 @@ func (s *Server) runBinarySession(br *bufio.Reader, out io.Writer, dl deadliner)
 		bs.wg.Add(1)
 		go func(f wire.Frame, tr *obs.ReqTrace) {
 			defer func() { <-sem; bs.wg.Done() }()
+			defer func() {
+				if s.recovered(recover()) {
+					bs.finishErr(f, tr, errInternal.Error())
+				}
+			}()
 			bs.handle(f, tr)
 		}(f, tr)
 	}

@@ -102,10 +102,21 @@ func (s *Server) runTextSession(in io.Reader, out io.Writer, dl deadliner) {
 			return
 		}
 		s.counters.Add("requests", 1)
-		if sess.handle(line) != nil {
+		if sess.handleContained(line) != nil {
 			return
 		}
 	}
+}
+
+// handleContained is handle with a panic contained to its request: the
+// client is answered "err internal" and the session keeps serving.
+func (sess *session) handleContained(line string) (err error) {
+	defer func() {
+		if sess.srv.recovered(recover()) {
+			err = sess.respondErrf("%s", errInternal)
+		}
+	}()
+	return sess.handle(line)
 }
 
 // armReadDeadline starts the idle clock for the next read.

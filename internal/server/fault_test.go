@@ -8,6 +8,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/oracle"
+	"repro/internal/routing"
+	"repro/internal/wire"
 )
 
 // TestOversizedLineAnsweredNotDropped is the regression test for the
@@ -213,5 +219,100 @@ func TestTruncatedMaxBatchCostsNothing(t *testing.T) {
 	// The same server still answers a fresh session.
 	if got := runScript(t, srv, "dist 1 2\n"); len(got) != 1 || !strings.HasPrefix(got[0], "dist 1 2 = ") {
 		t.Fatalf("server unhealthy after truncated batch: %q", got)
+	}
+}
+
+// panicBackend serves a real oracle but panics on one pair: directly in
+// Dist and Route, and on a worker-pool goroutine in AnswerBatch, where
+// only the pool's re-raise brings the panic back to the request.
+type panicBackend struct {
+	o    *oracle.Oracle
+	u, v int32
+}
+
+func (b panicBackend) check(u, v int32) {
+	if u == b.u && v == b.v {
+		panic(fmt.Sprintf("backend bug on (%d,%d)", u, v))
+	}
+}
+
+func (b panicBackend) N() int { return b.o.N() }
+
+func (b panicBackend) Dist(u, v int32) (oracle.Answer, error) {
+	b.check(u, v)
+	return b.o.Dist(u, v)
+}
+
+func (b panicBackend) Route(u, v int32) (routing.Path, oracle.Answer, error) {
+	b.check(u, v)
+	return b.o.Route(u, v)
+}
+
+func (b panicBackend) AnswerBatch(qs []oracle.Query) ([]oracle.Answer, error) {
+	graph.ParallelRangeWorkers(len(qs), 4, func(_, lo, hi int) {
+		for _, q := range qs[lo:hi] {
+			b.check(q.U, q.V)
+		}
+	})
+	return b.o.AnswerBatch(qs), nil
+}
+
+func (b panicBackend) StatsLine() string { return b.o.Stats().String() }
+
+// TestBackendPanicContainedToRequest: a backend panic answers its own
+// request with an error (text "err internal", binary MsgErr "internal"),
+// counts in server_panics_total, and leaves both the panicking connection
+// and every other connection serving.
+func TestBackendPanicContainedToRequest(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := NewBackend(panicBackend{o: testOracle(t), u: 1, v: 2}, Config{Registry: reg})
+	addr, _, _ := startTCP(t, srv)
+
+	c1 := dialClient(t, addr)
+	c1.send("dist 1 2")
+	if got := c1.readLine(); got != "err internal" {
+		t.Fatalf("panicking dist answered %q, want %q", got, "err internal")
+	}
+	c2 := dialClient(t, addr)
+	c2.send("dist 0 1")
+	if got := c2.readLine(); !strings.HasPrefix(got, "dist 0 1 = ") {
+		t.Fatalf("second connection answered %q after a panic", got)
+	}
+	if got := srv.Counter("panics"); got != 1 {
+		t.Fatalf("panics = %d, want 1", got)
+	}
+	var metrics strings.Builder
+	reg.WritePrometheus(&metrics)
+	if !strings.Contains(metrics.String(), "\nserver_panics_total 1\n") {
+		t.Fatalf("/metrics does not export server_panics_total 1:\n%s", metrics.String())
+	}
+
+	// The panicking connection keeps serving, and a batch that panics on
+	// the pool still owes its index-aligned lines.
+	c1.send("batch 2\ndist 0 1\ndist 1 2")
+	for i := 0; i < 2; i++ {
+		if got := c1.readLine(); got != "err internal" {
+			t.Fatalf("panicking batch line %d answered %q, want %q", i, got, "err internal")
+		}
+	}
+	c1.send("dist 0 1")
+	if got := c1.readLine(); !strings.HasPrefix(got, "dist 0 1 = ") {
+		t.Fatalf("panicking connection answered %q afterwards", got)
+	}
+
+	// Binary: the frame goroutine recovers and answers MsgErr for that id.
+	bc := dialWire(t, addr)
+	var re *wire.RemoteError
+	if _, err := bc.Dist(1, 2); !errors.As(err, &re) || re.Msg != "internal" {
+		t.Fatalf("binary panicking dist: err = %v, want remote error %q", err, "internal")
+	}
+	if _, err := bc.Batch([]oracle.Query{{U: 0, V: 1}, {U: 1, V: 2}}); !errors.As(err, &re) || re.Msg != "internal" {
+		t.Fatalf("binary panicking batch: err = %v, want remote error %q", err, "internal")
+	}
+	if _, err := bc.Dist(0, 1); err != nil {
+		t.Fatalf("binary connection stopped serving after a panic: %v", err)
+	}
+	if got := srv.Counter("panics"); got != 4 {
+		t.Fatalf("panics = %d after four panicking requests, want 4", got)
 	}
 }

@@ -206,10 +206,17 @@ func (sess *session) handleBatch(fields []string) error {
 			srv.counters.Add("errs", 1)
 		}
 	}
-	answers, berr := srv.b.AnswerBatch(qs)
+	answers, berr := func() (as []oracle.Answer, err error) {
+		defer func() {
+			if srv.recovered(recover()) {
+				err = errInternal
+			}
+		}()
+		return srv.b.AnswerBatch(qs)
+	}()
 	if berr != nil {
-		// A failed backend (a fleet with no live workers) still owes the
-		// client its n index-aligned lines.
+		// A failed (a fleet with no live workers) or panicking backend
+		// still owes the client its n index-aligned lines.
 		srv.counters.Add("errs", int64(len(qs)))
 		for _, i := range qIdx {
 			resp[i] = "err " + berr.Error()

@@ -42,6 +42,9 @@
 // Malformed requests answer "err <message>" and keep the connection open;
 // a request line over Config.MaxLineBytes answers "err line too long".
 // Connections beyond Config.MaxConns are rejected with "err server busy".
+// A request whose backend call panics answers "err internal" (MsgErr
+// "internal" on a binary connection), counts in the panics counter, and
+// leaves the connection and the process serving.
 package server
 
 import (
@@ -51,6 +54,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,7 +221,7 @@ func NewBackend(b Backend, cfg Config) *Server {
 		cfg: cfg,
 		log: obs.Component(cfg.Log, "server"),
 		counters: stats.NewCounters(
-			"conns", "busy", "requests", "batches", "errs", "toolong", "timeouts", "binconns"),
+			"conns", "busy", "requests", "batches", "errs", "toolong", "timeouts", "binconns", "panics"),
 		sem:   make(chan struct{}, cfg.MaxConns),
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -266,8 +270,25 @@ func (s *Server) batchTrace(qs []oracle.Query, tr *obs.ReqTrace) ([]oracle.Answe
 }
 
 // Counter exposes a named serving counter (see NewBackend for the set) —
-// conns, busy, requests, batches, errs, toolong, timeouts, binconns.
+// conns, busy, requests, batches, errs, toolong, timeouts, binconns,
+// panics.
 func (s *Server) Counter(name string) int64 { return s.counters.Get(name) }
+
+// errInternal is the error a request whose handler panicked answers with.
+var errInternal = errors.New("internal")
+
+// recovered contains one request's panic: given recover()'s value v, it
+// counts and logs a non-nil v with its stack and reports whether there
+// was a panic. Each request goroutine defers a call with recover() as the
+// argument, so a panicking backend fails only its own request.
+func (s *Server) recovered(v any) bool {
+	if v == nil {
+		return false
+	}
+	s.counters.Add("panics", 1)
+	s.log.Error("request panicked", "panic", fmt.Sprint(v), "stack", string(debug.Stack()))
+	return true
+}
 
 // Active returns the number of currently tracked connections.
 func (s *Server) Active() int {
@@ -275,7 +296,6 @@ func (s *Server) Active() int {
 	defer s.mu.Unlock()
 	return len(s.conns)
 }
-
 
 // Serve accepts connections on l until ctx is cancelled, then drains
 // gracefully: the listener closes, blocked reads are woken, every session

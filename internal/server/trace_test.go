@@ -4,11 +4,25 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/wire"
 )
+
+// waitRecorded waits until the flight recorder holds at least want
+// traces. A binary request's trace completes after its response is
+// written (the write hop times the flush), so a client that has its
+// answer may look before the server goroutine has recorded it.
+func waitRecorded(t *testing.T, flight *obs.FlightRecorder, want int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); flight.Recorded() < want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("flight recorder holds %d traces after 5s, want %d", flight.Recorded(), want)
+		}
+	}
+}
 
 // hopNames extracts the hop names of a record in order.
 func hopNames(rec *obs.TraceRecord) []string {
@@ -93,11 +107,17 @@ func TestBinaryTraceEndToEnd(t *testing.T) {
 		t.Fatalf("batch response trace ctx %+v", rtc)
 	}
 
+	waitRecorded(t, flight, 2)
 	recent := flight.Recent()
 	if len(recent) != 2 {
 		t.Fatalf("flight recorder holds %d traces, want 2", len(recent))
 	}
-	batchRec, distRec := recent[0], recent[1] // newest first
+	// Newest first, but the dist's trace may complete after the batch's
+	// (each finishes on its own frame goroutine after its response).
+	batchRec, distRec := recent[0], recent[1]
+	if batchRec.Verb == "dist" {
+		batchRec, distRec = distRec, batchRec
+	}
 	if distRec.ID != "00000000feed0001" || distRec.Verb != "dist" || distRec.Detail != "u=0 v=1" {
 		t.Errorf("dist record = %+v", distRec)
 	}
@@ -164,6 +184,7 @@ func TestBinaryServerSampling(t *testing.T) {
 			t.Fatalf("Dist %d: %v", i, err)
 		}
 	}
+	waitRecorded(t, flight, 3)
 	if got := flight.Recorded(); got != 3 {
 		t.Fatalf("1-in-2 sampling recorded %d of 6, want 3", got)
 	}

@@ -188,11 +188,14 @@ func BuildRegular(g *graph.Graph, opts RegularOptions) (*RegularResult, error) {
 		// edges; reinsert those without one.
 		edges := g.Edges()
 		missing := make([]bool, len(needCheck))
-		graph.ParallelRange(len(needCheck), func(lo, hi int) {
-			scratch := graph.NewBFSScratch(n)
+		scratch := make([]*graph.BFSScratch, graph.WorkersFor(0, len(needCheck)))
+		graph.ParallelRangeWorkers(len(needCheck), 0, func(w, lo, hi int) {
+			if scratch[w] == nil {
+				scratch[w] = graph.NewBFSScratch(n)
+			}
 			for k := lo; k < hi; k++ {
 				e := edges[needCheck[k]]
-				if scratch.DistWithin(gPrime, e.U, e.V, 3) == graph.Unreachable {
+				if scratch[w].DistWithin(gPrime, e.U, e.V, 3) == graph.Unreachable {
 					missing[k] = true
 				}
 			}

@@ -56,7 +56,7 @@ func VerifyEdgeStretchOpts(g, h *graph.Graph, alpha int, opt VerifyOptions) Stre
 	sp := opt.Trace.Start("edge-stretch-sweep")
 	defer sp.End()
 	sp.SetKV("edges", m)
-	sp.SetKV("workers", effectiveWorkers(opt.Workers, m))
+	sp.SetKV("workers", graph.WorkersFor(opt.Workers, m))
 	edges := g.Edges()
 	stretch := make([]float64, m)
 	srcs := make([]int32, 0, 64)
@@ -110,7 +110,7 @@ func VerifyPairStretchOpts(g, h *graph.Graph, pairs int, r *rng.RNG, opt VerifyO
 	sp := opt.Trace.Start("pair-stretch-sweep")
 	defer sp.End()
 	sp.SetKV("pairs", pairs)
-	sp.SetKV("workers", effectiveWorkers(opt.Workers, pairs))
+	sp.SetKV("workers", graph.WorkersFor(opt.Workers, pairs))
 	// Bucket pair indices by first endpoint (counting sort) so one BFS row
 	// per distinct anchor serves every pair anchored there — on g and h
 	// alike, since both sweeps share the grouping.
@@ -184,20 +184,4 @@ func reduceStretch(stretch []float64, bound float64) StretchReport {
 		rep.MeanStretch = total / float64(len(stretch))
 	}
 	return rep
-}
-
-// effectiveWorkers mirrors the graph package's worker clamping for scratch
-// sizing and span payloads: 0 means all cores, never more workers than
-// work items.
-func effectiveWorkers(workers, items int) int {
-	if workers <= 0 {
-		workers = graph.Workers()
-	}
-	if workers > items {
-		workers = items
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
 }

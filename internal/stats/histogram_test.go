@@ -104,7 +104,10 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 }
 
 func TestExpBucketsPanics(t *testing.T) {
-	for _, c := range []struct{ start, factor float64; n int }{
+	for _, c := range []struct {
+		start, factor float64
+		n             int
+	}{
 		{0, 2, 3}, {1, 1, 3}, {1, 2, 0},
 	} {
 		func() {

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Extended tier-1 gate: build everything, vet, run the full test suite
-# under the race detector, and smoke-test the dcserve demo path.
+# Extended tier-1 gate: build everything, vet, check formatting, run the
+# full test suite at one and at four cores and under the race detector,
+# and smoke-test the dcserve demo path.
 set -eu
 
 cd "$(dirname "$0")"
@@ -10,6 +11,17 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l (every Go file gofmt-clean)"
+UNFMT=$(gofmt -l .)
+[ -z "$UNFMT" ] || { echo "files not gofmt-clean:"; echo "$UNFMT"; exit 1; }
+
+# A worker-pool bug can hide at one core count (GOMAXPROCS=1 runs every
+# pool call inline), so the suite runs at both ends.
+for procs in 1 4; do
+    echo "== GOMAXPROCS=$procs go test -count=1 ./..."
+    GOMAXPROCS=$procs go test -count=1 ./...
+done
 
 echo "== go test -race ./..."
 go test -race ./...
