@@ -177,7 +177,7 @@ type dynEngine struct {
 }
 
 // applyInc dispatches one update to a maintained spanner.
-func applyInc(inc *spanner.Incremental, u, v int32, add bool) (bool, bool, error) {
+func applyInc(inc *spanner.Incremental, u, v int32, add bool) (bool, spanner.Delta, error) {
 	if add {
 		return inc.Insert(u, v)
 	}

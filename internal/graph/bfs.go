@@ -66,11 +66,15 @@ func (g *Graph) bfsInto(src, limit int32, dist, parent []int32) int {
 // exits as soon as v is discovered; callers that need the bidirectional
 // machinery (meet-in-the-middle frontiers) use the oracle's bounded
 // bidirectional search, which carries its own scratch.
-func (g *Graph) Dist(u, v int32) int32 {
+func (g *Graph) Dist(u, v int32) int32 { return bfsDist(g.n, g.Neighbors, u, v) }
+
+// bfsDist is the early-exit BFS behind Graph.Dist and DynGraph.Dist,
+// generic over the adjacency accessor.
+func bfsDist(n int, neighbors func(int32) []int32, u, v int32) int32 {
 	if u == v {
 		return 0
 	}
-	dist := make([]int32, g.n)
+	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = Unreachable
 	}
@@ -78,7 +82,7 @@ func (g *Graph) Dist(u, v int32) int32 {
 	dist[u] = 0
 	for head := 0; head < len(queue); head++ {
 		x := queue[head]
-		for _, w := range g.Neighbors(x) {
+		for _, w := range neighbors(x) {
 			if dist[w] == Unreachable {
 				dist[w] = dist[x] + 1
 				if w == v {

@@ -126,20 +126,40 @@ func (d *DynGraph) deleteArc(u, v int32) {
 	d.adj[u] = append(nbrs[:i], nbrs[i+1:]...)
 }
 
+// Dist returns the hop distance between u and v on the current edge
+// set, or Unreachable — Graph.Dist without materializing a snapshot.
+func (d *DynGraph) Dist(u, v int32) int32 { return bfsDist(d.n, d.Neighbors, u, v) }
+
+// Edges returns the current edge set in canonical form: each edge once
+// with U < V, sorted lexicographically. The lists are already sorted, so
+// walking each list's tail above its owner emits (U, V) order with no
+// sort.
+func (d *DynGraph) Edges() []Edge {
+	edges := make([]Edge, 0, d.m)
+	for u, nbrs := range d.adj {
+		i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] > int32(u) })
+		for _, v := range nbrs[i:] {
+			edges = append(edges, Edge{U: int32(u), V: v})
+		}
+	}
+	return edges
+}
+
 // Snapshot freezes the current edge set into an immutable Graph in the
 // canonical form every consumer expects (each edge once with U < V,
 // sorted lexicographically). Two DynGraphs holding the same edge set
 // snapshot to byte-identical graphs regardless of mutation history —
 // the property the incremental-vs-rebuilt differential gate relies on.
+// The lists are already sorted, so this is one linear copy: the CSR
+// windows are the lists themselves, and the edge list is Edges.
 func (d *DynGraph) Snapshot() *Graph {
-	edges := make([]Edge, 0, d.m)
-	for u := int32(0); u < int32(d.n); u++ {
-		for _, v := range d.adj[u] {
-			if u < v {
-				edges = append(edges, Edge{U: u, V: v})
-			}
-		}
+	off := make([]int32, d.n+1)
+	for v, nbrs := range d.adj {
+		off[v+1] = off[v] + int32(len(nbrs))
 	}
-	// Edges emitted in increasing (u, v) order are already sorted.
-	return fromSortedEdges(d.n, edges)
+	adj := make([]int32, off[d.n])
+	for u, nbrs := range d.adj {
+		copy(adj[off[u]:], nbrs)
+	}
+	return &Graph{n: d.n, m: d.m, off: off, adj: adj, edges: d.Edges()}
 }

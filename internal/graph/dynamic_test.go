@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -137,5 +138,69 @@ func TestDynGraphRejectsBadEndpoints(t *testing.T) {
 	}
 	if d.Seq() != 0 {
 		t.Fatalf("rejected updates advanced Seq to %d", d.Seq())
+	}
+}
+
+// dynChurn drives d through steps seeded random toggles.
+func dynChurn(t *testing.T, d *DynGraph, seed uint64, steps int) {
+	t.Helper()
+	r := rng.New(seed)
+	n := d.N()
+	for step := 0; step < steps; step++ {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n))
+		if u == v {
+			continue
+		}
+		var err error
+		if d.HasEdge(u, v) {
+			_, err = d.Delete(u, v)
+		} else {
+			_, err = d.Insert(u, v)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sameCSR compares two graphs array for array.
+func sameCSR(a, b *Graph) bool {
+	return a.n == b.n && a.m == b.m && slices.Equal(a.off, b.off) &&
+		slices.Equal(a.adj, b.adj) && slices.Equal(a.edges, b.edges)
+}
+
+// The linear-copy Snapshot must produce exactly the CSR arrays a
+// from-scratch FromEdges build of the same edge set produces.
+func TestDynGraphSnapshotMatchesFromEdges(t *testing.T) {
+	d := NewDynGraph(dynTestBase())
+	for round := 0; round < 5; round++ {
+		dynChurn(t, d, uint64(round)+100, 60)
+		snap := d.Snapshot()
+		want := FromEdges(d.N(), snap.Edges())
+		if !sameCSR(snap, want) {
+			t.Fatalf("round %d: Snapshot %+v differs from FromEdges rebuild %+v", round, snap, want)
+		}
+	}
+	// The empty graph and an isolated-vertex tail survive the copy too.
+	empty := NewDynGraph(NewBuilder(5).MustBuild()).Snapshot()
+	if !sameCSR(empty, FromEdges(5, nil)) {
+		t.Fatalf("empty Snapshot %+v differs from FromEdges", empty)
+	}
+}
+
+// DynGraph.Dist answers every pair exactly like the snapshot's Dist,
+// disconnected pairs included.
+func TestDynGraphDistMatchesSnapshot(t *testing.T) {
+	d := NewDynGraph(dynTestBase())
+	for round := 0; round < 4; round++ {
+		dynChurn(t, d, uint64(round)+200, 25)
+		snap := d.Snapshot()
+		for u := int32(0); u < int32(d.N()); u++ {
+			for v := int32(0); v < int32(d.N()); v++ {
+				if got, want := d.Dist(u, v), snap.Dist(u, v); got != want {
+					t.Fatalf("round %d: Dist(%d,%d) = %d, snapshot says %d", round, u, v, got, want)
+				}
+			}
+		}
 	}
 }

@@ -30,7 +30,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -292,25 +294,23 @@ func fromSortedEdges(n int, edges []Edge) *Graph {
 		adj[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	g := &Graph{n: n, m: len(edges), off: off, adj: adj, edges: edges}
-	// Edges were sorted lexicographically, so each adjacency window was
-	// filled in increasing neighbor order for the U side but interleaved for
-	// the V side; sort each window to restore the invariant.
-	for v := 0; v < n; v++ {
-		w := adj[off[v]:off[v+1]]
-		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
-	}
-	return g
+	// No per-window sort: with edges in (U, V) order, every edge naming v
+	// as its V (neighbor U < v) precedes the block of edges with U = v, so
+	// v's window fills with its smaller neighbors in increasing U order,
+	// then its larger ones in increasing V order — already sorted.
+	return &Graph{n: n, m: len(edges), off: off, adj: adj, edges: edges}
 }
 
-func sortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+// CompareEdges orders edges lexicographically by (U, V) — the canonical
+// order of Edges() — as a slices.SortFunc comparator.
+func CompareEdges(a, b Edge) int {
+	if a.U != b.U {
+		return cmp.Compare(a.U, b.U)
+	}
+	return cmp.Compare(a.V, b.V)
 }
+
+func sortEdges(edges []Edge) { slices.SortFunc(edges, CompareEdges) }
 
 // FilterEdges returns the spanning subgraph of g containing exactly the
 // edges for which keep returns true. The vertex set is unchanged, matching

@@ -69,21 +69,16 @@ func ParallelRangeWorkers(n, workers int, fn func(w, lo, hi int)) {
 	// atomic claim is negligible against any non-trivial fn.
 	chunk := max(n/(8*workers), 1)
 	var next atomic.Int64
-	var failed atomic.Pointer[workerPanic]
+	var relay PanicRelay
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					next.Store(int64(n)) // every later claim lands past the end
-					failed.CompareAndSwap(nil, &workerPanic{value: v, stack: debug.Stack()})
-				}
-			}()
+			defer relay.Catch()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
+				if lo >= n || relay.Caught() {
 					return
 				}
 				fn(w, lo, min(lo+chunk, n))
@@ -91,21 +86,48 @@ func ParallelRangeWorkers(n, workers int, fn func(w, lo, hi int)) {
 		}(w)
 	}
 	wg.Wait()
-	if p := failed.Load(); p != nil {
+	relay.Reraise()
+}
+
+// PanicRelay carries the first panic of a group of goroutines to the
+// goroutine that waits for them. Each goroutine defers Catch; after the
+// group's Wait the waiter calls Reraise, so a panic reaches the waiter's
+// recover as it would had the work run inline. ParallelRangeWorkers and
+// the router's per-chunk fan-out both use it. The zero value is ready.
+type PanicRelay struct {
+	first atomic.Pointer[WorkerPanic]
+}
+
+// Catch recovers a panic on the calling goroutine and keeps it if it is
+// the group's first. It must be deferred directly: defer relay.Catch().
+func (r *PanicRelay) Catch() {
+	if v := recover(); v != nil {
+		r.first.CompareAndSwap(nil, &WorkerPanic{Value: v, Stack: debug.Stack()})
+	}
+}
+
+// Caught reports whether some goroutine of the group has panicked, so
+// the others can stop taking work.
+func (r *PanicRelay) Caught() bool { return r.first.Load() != nil }
+
+// Reraise panics with the first caught *WorkerPanic, if there is one.
+// Call it once every goroutine of the group has returned.
+func (r *PanicRelay) Reraise() {
+	if p := r.first.Load(); p != nil {
 		panic(p)
 	}
 }
 
-// workerPanic is the value ParallelRangeWorkers re-raises on its caller:
-// the worker's original panic value plus the stack it panicked on, which
-// the caller's own stack trace would otherwise lose.
-type workerPanic struct {
-	value any
-	stack []byte
+// WorkerPanic is the value PanicRelay re-raises: the goroutine's original
+// panic value plus the stack it panicked on, which the waiter's own stack
+// trace would otherwise lose.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
 }
 
-func (p *workerPanic) Error() string {
-	return fmt.Sprintf("%v\n\npool worker stack:\n%s", p.value, p.stack)
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
 }
 
 // ParallelForEachEdge invokes fn(i, e) for every edge index i on the

@@ -224,6 +224,15 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *stats.Histogr
 	return h
 }
 
+// HistogramLabeled is Histogram with one label pair, so one family can
+// split into series like phase="repair" / phase="refresh".
+func (r *Registry) HistogramLabeled(name, help, label, value string, bounds []float64) *stats.Histogram {
+	h := stats.NewHistogram(bounds)
+	r.register(&metric{name: name, labels: renderLabels(label, value), help: help,
+		kind: kindHistogram, hist: h})
+	return h
+}
+
 // RegisterHistogram adopts an existing stats.Histogram — the path by
 // which the oracle's latency histograms join the registry without being
 // rebuilt.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/spanner"
 )
 
 // exactBackend answers every query from a precomputed all-pairs distance
@@ -100,12 +101,11 @@ func (b *exactBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	return obs.PathExact, true
 }
 
-// refresh implements Backend: patch the distance table in place against
-// the spanner edge diff instead of resweeping every source.
+// refresh implements Backend: patch the distance table in place from
+// the spanner delta instead of resweeping every source.
 //
-//   - Insertions apply the classic one-edge relaxation
-//     d'(u,v) = min(d(u,v), d(u,a)+1+d(b,v), d(u,b)+1+d(a,v)) — exact
-//     for a single inserted edge, and exact for several when applied one
+//   - Insertions apply the one-edge relaxation (patchInsert) — exact for
+//     a single inserted edge, and exact for several when applied one
 //     edge at a time.
 //   - Deletions then rewrite only affected rows: a source x whose
 //     distances can change must have some removed edge {a,b} tight from
@@ -113,24 +113,23 @@ func (b *exactBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 //     row is already correct. When more than half the rows are affected a
 //     full sweep is cheaper, so refresh falls back to fillAll.
 //
-// The diff is taken between the old and new spanners (not the base-graph
-// update, whose spanner footprint can be several edges), so the rule
-// stays exact no matter what the maintenance layer did upstream.
-func (b *exactBackend) refresh(h *graph.Graph, _ GraphUpdate) {
-	added, removed := diffEdges(b.h.Edges(), h.Edges())
+// The delta is the spanner's own net change (not the base-graph update,
+// whose spanner footprint can be several edges), so the rule stays
+// exact no matter what the maintenance layer did upstream.
+func (b *exactBackend) refresh(h *graph.Graph, d spanner.Delta) {
 	b.h = h
 	n := int32(h.N())
-	for _, e := range added {
+	for _, e := range d.Added {
 		b.patchInsert(e.U, e.V)
 	}
-	if len(removed) == 0 {
+	if len(d.Removed) == 0 {
 		return
 	}
 	// After the insertion patches the table is exact for h plus the
 	// removed edges — exactly the graph the tightness criterion needs.
 	affected := make([]bool, n)
 	count := 0
-	for _, e := range removed {
+	for _, e := range d.Removed {
 		for x := int32(0); x < n; x++ {
 			if affected[x] {
 				continue
@@ -171,61 +170,39 @@ func (b *exactBackend) refresh(h *graph.Graph, _ GraphUpdate) {
 	})
 }
 
-// patchInsert relaxes every pair through the newly inserted spanner edge
-// {a, c}: any path improved by the edge crosses it once, splitting into
-// old-distance legs, so the pre-patch columns of a and c decide every
-// new value.
+// patchInsert relaxes the table through the newly inserted spanner edge
+// {a, c}. A pair {x, y} can only shorten through the edge as
+// x ⇝ a – c ⇝ y with d(x,a)+1+d(c,y) < d(x,y). The old distance is at
+// most d(x,c)+d(c,y) and at most d(x,a)+d(a,y), so that forces
+// d(x,a)+1 < d(x,c) — x is in near — and d(c,y)+1 < d(y,a) — y is in
+// far. Relaxing only near × far is therefore exact, and it is a small
+// product: on a spanner the edge's endpoints sit within distance 3, so
+// few vertices are two or more hops closer to one than to the other.
+// Unreachable counts as infinitely far.
 func (b *exactBackend) patchInsert(a, c int32) {
 	n := int32(b.h.N())
-	da := make([]int32, n)
-	dc := make([]int32, n)
+	type side struct{ v, d int32 } // vertex and its distance to a (near) or c (far)
+	var near, far []side
+	closer := func(dx, dy int32) bool { // dx+1 < dy with Unreachable as ∞
+		return dx != graph.Unreachable && (dy == graph.Unreachable || dx+1 < dy)
+	}
 	for x := int32(0); x < n; x++ {
-		da[x] = b.tri.At(x, a)
-		dc[x] = b.tri.At(x, c)
-	}
-	better := func(best, left, right int32) int32 {
-		if left == graph.Unreachable || right == graph.Unreachable {
-			return best
+		xa, xc := b.tri.At(x, a), b.tri.At(x, c)
+		switch {
+		case closer(xa, xc):
+			near = append(near, side{x, xa})
+		case closer(xc, xa):
+			far = append(far, side{x, xc})
 		}
-		if d := left + 1 + right; best == graph.Unreachable || d < best {
-			return d
-		}
-		return best
 	}
-	for u := int32(0); u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			old := b.tri.At(u, v)
-			d := better(old, da[u], dc[v])
-			d = better(d, dc[u], da[v])
-			if d != old {
-				b.tri.Set(u, v, d)
+	for _, x := range near {
+		for _, y := range far {
+			d := x.d + 1 + y.d
+			if old := b.tri.At(x.v, y.v); old == graph.Unreachable || d < old {
+				b.tri.Set(x.v, y.v, d)
 			}
 		}
 	}
-}
-
-// diffEdges merges two canonical (U < V, lexicographically sorted) edge
-// lists into the sets present only in the new one (added) and only in
-// the old one (removed).
-func diffEdges(old, cur []graph.Edge) (added, removed []graph.Edge) {
-	i, j := 0, 0
-	for i < len(old) && j < len(cur) {
-		a, b := old[i], cur[j]
-		switch {
-		case a == b:
-			i++
-			j++
-		case a.U < b.U || (a.U == b.U && a.V < b.V):
-			removed = append(removed, a)
-			i++
-		default:
-			added = append(added, b)
-			j++
-		}
-	}
-	removed = append(removed, old[i:]...)
-	added = append(added, cur[j:]...)
-	return added, removed
 }
 
 // Stats implements Backend.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/spanner"
 	"repro/internal/stats"
 )
 
@@ -226,7 +227,7 @@ func (b *landmarkBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 // pool (scratch is sized by n, which updates never change), and metric
 // registrations (their closures read b.lm/b.cache through the receiver)
 // all survive.
-func (b *landmarkBackend) refresh(h *graph.Graph, _ GraphUpdate) {
+func (b *landmarkBackend) refresh(h *graph.Graph, _ spanner.Delta) {
 	b.h = h
 	b.lm = buildLandmarkTable(h, b.lmCount, b.seed)
 	if b.cache != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/spanner"
 )
 
 // sparseBackend is the two-level hub/bunch design from the sparse-graph
@@ -144,7 +145,7 @@ func (b *sparseBackend) rebuild(h *graph.Graph) {
 // along a path), so the backend recomputes hubs and bunches in place via
 // rebuild. Path counters and metric registrations survive — the gauge
 // closures read b.hubs/b.bunchW through the receiver.
-func (b *sparseBackend) refresh(h *graph.Graph, _ GraphUpdate) {
+func (b *sparseBackend) refresh(h *graph.Graph, _ spanner.Delta) {
 	b.rebuild(h)
 }
 

@@ -2,11 +2,13 @@ package oracle
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/spanner"
+	"repro/internal/stats"
 )
 
 // Dynamic is the live-graph serving engine: a mutable base graph, an
@@ -26,6 +28,50 @@ type Dynamic struct {
 	inc  *spanner.Incremental
 	o    *Oracle
 	sopt spanner.IncrementalOptions // kept for Snapshot's verify rebuild
+	m    updateMetrics
+}
+
+// Update metric families, registered in the serving oracle's registry
+// (counters are exposed with the _total suffix on /metrics).
+const (
+	metricUpdates       = "oracle_updates"
+	metricUpdateLatency = "oracle_update_latency_seconds"
+	metricUpdateSeq     = "oracle_update_seq"
+	metricSpannerEdges  = "oracle_spanner_edges"
+	metricDirtyFraction = "oracle_spanner_dirty_fraction"
+)
+
+// updateMetrics is the update path's accounting: three counters, two
+// phase histograms and three gauges, all written under the update lock
+// and read lock-free by scrapes. Queries touch none of it.
+type updateMetrics struct {
+	applied, noop, rebuilt *obs.Counter
+	repair, refresh        *stats.Histogram
+	seq, edges, dirty      *obs.Gauge
+}
+
+func newUpdateMetrics(reg *obs.Registry) updateMetrics {
+	const help = "Edge updates by outcome: applied (local spanner repair), noop (edge already present/absent), rebuilt (applied by a full spanner recompute)."
+	const latHelp = "Applied-update time by phase: repair is the graph mutation plus spanner repair; refresh snapshots the changed spanner and refreshes the backend (skipped when the spanner did not change)."
+	bounds := stats.ExpBuckets(1e-6, 2, 24) // 1 µs … ~8 s
+	return updateMetrics{
+		applied: reg.CounterLabeled(metricUpdates, help, "result", "applied"),
+		noop:    reg.CounterLabeled(metricUpdates, help, "result", "noop"),
+		rebuilt: reg.CounterLabeled(metricUpdates, help, "result", "rebuilt"),
+		repair:  reg.HistogramLabeled(metricUpdateLatency, latHelp, "phase", "repair", bounds),
+		refresh: reg.HistogramLabeled(metricUpdateLatency, latHelp, "phase", "refresh", bounds),
+		seq:     reg.Gauge(metricUpdateSeq, "Applied-update sequence number of the live graph."),
+		edges:   reg.Gauge(metricSpannerEdges, "Edge count of the maintained spanner."),
+		dirty: reg.Gauge(metricDirtyFraction,
+			"Applied updates since the last full spanner recompute over the live edge count; a recompute runs once it passes the rebuild threshold."),
+	}
+}
+
+// observe publishes the post-update state gauges.
+func (m *updateMetrics) observe(inc *spanner.Incremental) {
+	m.seq.Set(float64(inc.Seq()))
+	m.edges.Set(float64(inc.HM()))
+	m.dirty.Set(inc.DirtyFraction())
 }
 
 // DynamicOptions configures NewDynamic.
@@ -76,46 +122,64 @@ type SnapshotInfo struct {
 
 // NewDynamic builds the engine over a starting graph. The oracle serves
 // the incremental spanner with its certified stretch
-// (spanner.IncrementalAlpha).
+// (spanner.IncrementalAlpha) and samples realized stretch against the
+// live graph.
 func NewDynamic(base *graph.Graph, opts DynamicOptions) (*Dynamic, error) {
 	inc := spanner.NewIncremental(base, opts.Spanner)
-	s := inc.Spanner()
-	o, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, opts.Oracle)
+	o, err := NewFromGraphs(base, inc.H().Snapshot(), spanner.IncrementalAlpha, opts.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	return &Dynamic{inc: inc, o: o, sopt: opts.Spanner}, nil
+	o.g = inc.Graph()
+	d := &Dynamic{inc: inc, o: o, sopt: opts.Spanner, m: newUpdateMetrics(o.reg)}
+	d.m.observe(inc)
+	return d, nil
 }
 
 // Update applies one edge mutation end to end: the live graph, the
 // maintained spanner, and the oracle backend's precomputed state. No-op
-// updates (Applied false) touch nothing. The cost of an applied update
-// is the local spanner rule plus one snapshot materialization plus the
-// backend's refresh.
+// updates (Applied false) touch nothing. An applied update costs the
+// local spanner repair plus, only when the spanner changed, one linear
+// snapshot of H and a backend refresh from the spanner delta.
 func (d *Dynamic) Update(u, v int32, add bool) (UpdateResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	t0 := time.Now()
 	var (
-		applied, rebuilt bool
-		err              error
+		applied bool
+		delta   spanner.Delta
+		err     error
 	)
 	if add {
-		applied, rebuilt, err = d.inc.Insert(u, v)
+		applied, delta, err = d.inc.Insert(u, v)
 	} else {
-		applied, rebuilt, err = d.inc.Delete(u, v)
+		applied, delta, err = d.inc.Delete(u, v)
 	}
 	res := UpdateResult{
 		Applied: applied,
-		Rebuilt: rebuilt,
+		Rebuilt: delta.Rebuilt,
 		M:       d.inc.Graph().M(),
 		HM:      d.inc.HM(),
 		Seq:     d.inc.Seq(),
 	}
-	if err != nil || !applied {
+	switch {
+	case err != nil:
 		return res, err
+	case !applied:
+		d.m.noop.Inc()
+		return res, nil
+	case delta.Rebuilt:
+		d.m.rebuilt.Inc()
+	default:
+		d.m.applied.Inc()
 	}
-	s := d.inc.Spanner()
-	d.o.applyUpdate(s.Base, s.H, GraphUpdate{U: u, V: v, Add: add})
+	t1 := time.Now()
+	d.m.repair.Observe(t1.Sub(t0).Seconds())
+	if !delta.Empty() {
+		d.o.applyUpdate(d.inc.H().Snapshot(), delta)
+		d.m.refresh.Observe(time.Since(t1).Seconds())
+	}
+	d.m.observe(d.inc)
 	return res, nil
 }
 

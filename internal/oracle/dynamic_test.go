@@ -1,10 +1,18 @@
 package oracle
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"regexp"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/spanner"
 )
@@ -99,7 +107,8 @@ func TestExactRefreshPatchesTable(t *testing.T) {
 				edges = append(edges, e)
 			}
 		}
-		b.refresh(graph.FromEdges(n, edges), GraphUpdate{})
+		h := graph.FromEdges(n, edges)
+		b.refresh(h, edgeDelta(b.h.Edges(), h.Edges()))
 		check(stage)
 	}
 
@@ -116,6 +125,54 @@ func TestExactRefreshPatchesTable(t *testing.T) {
 	mutate("bulk-delete", bulk)
 	// Reconnect.
 	mutate("reinsert", bulk)
+}
+
+// edgeDelta is the spanner delta between two canonical edge lists.
+func edgeDelta(old, cur []graph.Edge) spanner.Delta {
+	added, removed := graphtest.DiffEdges(old, cur)
+	return spanner.Delta{Added: added, Removed: removed}
+}
+
+// The exact table refreshed from each update's spanner delta equals a
+// freshly swept table after every step of a 200-update random
+// insert/delete sequence — with and without the full-recompute path.
+func TestExactRefreshFromDeltaMatchesFreshEveryStep(t *testing.T) {
+	for _, thr := range []float64{-1, 0.05} {
+		base := gen.ErdosRenyi(36, 0.12, rng.New(41))
+		inc := spanner.NewIncremental(base, spanner.IncrementalOptions{Seed: 99, RebuildThreshold: thr})
+		b := newExactBackend(inc.H().Snapshot(), 2, nil)
+		r := rng.New(43)
+		n := int32(base.N())
+		for step := 0; step < 200; step++ {
+			u, v := int32(r.Intn(int(n))), int32(r.Intn(int(n-1)))
+			if v >= u {
+				v++
+			}
+			var (
+				applied bool
+				d       spanner.Delta
+				err     error
+			)
+			if inc.Graph().HasEdge(u, v) {
+				applied, d, err = inc.Delete(u, v)
+			} else {
+				applied, d, err = inc.Insert(u, v)
+			}
+			if err != nil || !applied {
+				t.Fatalf("step %d: applied=%v err=%v", step, applied, err)
+			}
+			b.refresh(inc.H().Snapshot(), d)
+			want := newExactBackend(b.h, 1, nil)
+			for x := int32(0); x < n; x++ {
+				for y := x + 1; y < n; y++ {
+					if got, exp := b.tri.At(x, y), want.tri.At(x, y); got != exp {
+						t.Fatalf("threshold %v step %d (delta +%v -%v): tri(%d,%d) = %d, fresh sweep has %d",
+							thr, step, d.Added, d.Removed, x, y, got, exp)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Landmark refresh must rebuild the table to what a fresh build on the
@@ -136,7 +193,7 @@ func TestLandmarkRefreshRebuildsTableAndFlushesCache(t *testing.T) {
 		t.Fatal("warm-up queries cached nothing")
 	}
 	h1 := graph.FromEdges(64, append(h0.Edges(), graph.Edge{U: 0, V: 63}))
-	b.refresh(h1, GraphUpdate{U: 0, V: 63, Add: true})
+	b.refresh(h1, edgeDelta(h0.Edges(), h1.Edges()))
 	fresh := newLandmarkBackend(h1, opts, 2, nil)
 	got, want := b.lm.Bytes(), fresh.lm.Bytes()
 	if string(got) != string(want) {
@@ -158,7 +215,7 @@ func TestSparseRefreshMatchesFreshBuild(t *testing.T) {
 	b := newSparseBackend(h0, opts, 2, nil)
 	edges := h0.Edges()
 	h1 := graph.FromEdges(56, append(edges[:len(edges)-3:len(edges)-3], graph.Edge{U: 2, V: 55}))
-	b.refresh(h1, GraphUpdate{})
+	b.refresh(h1, edgeDelta(h0.Edges(), h1.Edges()))
 	fresh := newSparseBackend(h1, opts, 2, nil)
 	if string(b.hubs.Bytes()) != string(fresh.hubs.Bytes()) {
 		t.Fatal("refreshed hub table differs from a fresh build")
@@ -201,5 +258,104 @@ func TestDynamicNoOpAndInvalidUpdates(t *testing.T) {
 	}
 	if after.Seq != 0 {
 		t.Fatalf("Seq advanced to %d on no-ops", after.Seq)
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/*.golden from the current output")
+
+// timingValue matches the samples of the update-latency histogram whose
+// values are wall-clock dependent: finite buckets and the sum.
+var timingValue = regexp.MustCompile(`^(oracle_update_latency_seconds_(bucket\{[^}]*le="[^+][^"]*"\}|sum\{[^}]*\})) .*$`)
+
+// The update metrics' exposition is pinned by a golden file: family
+// names, help text, label values, bucket bounds, and every value that
+// does not depend on timing. The sequence exercises each outcome: local
+// repairs, no-ops (a present edge inserted, an absent one deleted) and a
+// full recompute (the 10% threshold trips on the second applied update
+// of a 16-edge cycle).
+func TestDynamicUpdateMetricsGolden(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := NewDynamic(gen.Cycle(16), DynamicOptions{
+		Spanner: spanner.IncrementalOptions{Seed: 5, RebuildThreshold: 0.1},
+		Oracle:  Options{Backend: BackendExactCached, SampleEvery: -1, Registry: reg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, up := range []struct {
+		u, v int32
+		add  bool
+	}{{0, 8, true}, {0, 1, true}, {3, 11, true}, {0, 8, false}, {5, 9, false}} {
+		if _, err := d.Update(up.u, up.v, up.add); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name := strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE ")
+		if !strings.HasPrefix(name, "oracle_update") && !strings.HasPrefix(name, "oracle_spanner_") {
+			continue
+		}
+		got.WriteString(timingValue.ReplaceAllString(line, "$1 <timing>") + "\n")
+	}
+	const path = "testdata/update_metrics.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("update metrics exposition drifted from %s (rerun with -update-golden after an intended change):\n%s", path, got.String())
+	}
+}
+
+// The realized-stretch sampler reads the live graph under the engine's
+// read lock while updates mutate it under the write lock: queries from
+// several goroutines, each one sampled, race an updater (run under
+// -race), and every sample stays within the certified stretch.
+func TestDynamicLiveStretchSamplingUnderUpdates(t *testing.T) {
+	d, err := NewDynamic(gen.ErdosRenyi(48, 0.1, rng.New(61)), DynamicOptions{
+		Spanner: spanner.IncrementalOptions{Seed: 62},
+		Oracle:  Options{Backend: BackendExactCached, SampleEvery: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rng.New(uint64(70 + g))
+			for i := 0; i < 300; i++ {
+				if _, err := d.Dist(int32(r.Intn(48)), int32(r.Intn(48))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	r := rng.New(69)
+	for i := 0; i < 100; i++ {
+		u, v := int32(r.Intn(48)), int32(r.Intn(48))
+		if u == v {
+			continue
+		}
+		if _, err := d.Update(u, v, r.Bernoulli(0.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	s := d.Stats()
+	if s.StretchSamples == 0 || s.RealizedAlpha > spanner.IncrementalAlpha {
+		t.Fatalf("stretch samples=%d realized alpha=%.2f (certified %d)", s.StretchSamples, s.RealizedAlpha, spanner.IncrementalAlpha)
 	}
 }

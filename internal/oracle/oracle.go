@@ -38,6 +38,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/routing"
+	"repro/internal/spanner"
 	"repro/internal/stats"
 )
 
@@ -206,7 +207,7 @@ type Stats struct {
 // Oracle answers distance and route queries over a DC-spanner through a
 // pluggable resolution backend.
 type Oracle struct {
-	g     *graph.Graph // base graph G (realized-stretch reference)
+	g     distGraph    // base graph G (realized-stretch reference)
 	h     *graph.Graph // spanner H (the serving graph)
 	alpha int          // certified distance stretch; 0 = uncertified
 
@@ -234,6 +235,13 @@ type Oracle struct {
 	stretchMax float64
 
 	routePool sync.Pool // *routeScratch
+}
+
+// distGraph is what the realized-stretch sampler reads G through: a
+// frozen *graph.Graph, or under oracle.Dynamic the live *graph.DynGraph,
+// read under the engine's read lock so updates never materialize G.
+type distGraph interface {
+	Dist(u, v int32) int32
 }
 
 type routeScratch struct {
@@ -403,17 +411,16 @@ func (o *Oracle) LandmarkBytes() []byte {
 	return nil
 }
 
-// applyUpdate swings the oracle onto the refreshed base graph and
-// spanner and has the backend repair its precomputed state in place
-// (Backend.refresh). The vertex set never changes, so every n-sized
-// structure — the congestion array, the route and search scratch pools,
-// the metric closures — carries over untouched. NOT safe against
-// concurrent queries: the caller must hold an exclusive lock over the
-// oracle (oracle.Dynamic holds its update lock here).
-func (o *Oracle) applyUpdate(g, h *graph.Graph, up GraphUpdate) {
-	o.g = g
+// applyUpdate swings the oracle onto the refreshed spanner h and has
+// the backend repair its precomputed state in place from the spanner
+// delta d (Backend.refresh). The vertex set never changes, so every
+// n-sized structure — the congestion array, the route and search
+// scratch pools, the metric closures — carries over untouched. NOT safe
+// against concurrent queries: the caller must hold an exclusive lock
+// over the oracle (oracle.Dynamic holds its update lock here).
+func (o *Oracle) applyUpdate(h *graph.Graph, d spanner.Delta) {
 	o.h = h
-	o.backend.refresh(h, up)
+	o.backend.refresh(h, d)
 }
 
 // Dist answers a single distance query. Safe for concurrent use. The

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/routing"
@@ -478,28 +479,48 @@ func (r *Router) AnswerBatchTrace(qs []oracle.Query, tr *obs.ReqTrace) ([]oracle
 		tr.Hop("split", t0, fmt.Sprintf("n=%d chunks=%d workers=%d", len(qs), len(chunks), len(shards)))
 	}
 
-	var wg sync.WaitGroup
-	errc := make(chan error, len(chunks))
-	for ci, ck := range chunks {
-		wg.Add(1)
-		go func(ci int, ck chunk) {
-			defer wg.Done()
-			errc <- r.answerChunk(qs[ck.lo:ck.hi], out[ck.lo:ck.hi], shards, ci, tr)
-		}(ci, ck)
-	}
-	wg.Wait()
+	err := fanOut(len(chunks), func(ci int) error {
+		ck := chunks[ci]
+		return r.answerChunk(qs[ck.lo:ck.hi], out[ck.lo:ck.hi], shards, ci, tr)
+	})
 	tm := time.Now()
-	close(errc)
-	for err := range errc {
-		if err != nil {
-			r.counters.Add("failures", 1)
-			return nil, err
-		}
+	if err != nil {
+		r.counters.Add("failures", 1)
+		return nil, err
 	}
 	if tr != nil {
 		tr.Hop("merge", tm, fmt.Sprintf("chunks=%d", len(chunks)))
 	}
 	return out, nil
+}
+
+// fanOut runs fn(0) … fn(n-1) on one goroutine each and returns the
+// first non-nil error in index order. Chunks are network round trips, so
+// they must overlap even at GOMAXPROCS=1, which is why they do not run
+// on the CPU pool. A panicking fn is handed to the caller through a
+// graph.PanicRelay once every goroutine has finished, carrying that
+// goroutine's stack, so the server's per-request recover contains it
+// instead of the process dying.
+func fanOut(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var relay graph.PanicRelay
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			defer relay.Catch()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	relay.Reraise()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // answerChunk answers qs into out (same length), starting at shard

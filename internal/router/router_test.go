@@ -2,16 +2,19 @@ package router
 
 import (
 	"context"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
@@ -374,4 +377,49 @@ func stripLatency(line string) string {
 		return line[:i]
 	}
 	return line
+}
+
+// A panicking fan-out chunk is re-raised on the caller — after every
+// other chunk has finished, with the chunk goroutine's stack — instead
+// of killing the process, so the server's per-request recover can
+// answer it; without a panic the first error in chunk order wins.
+func TestFanOutReraisesChunkPanic(t *testing.T) {
+	var done atomic.Int64
+	recovered := func() (v any) {
+		defer func() { v = recover() }()
+		fanOut(5, func(i int) error {
+			if i == 2 {
+				panic("chunk bug")
+			}
+			time.Sleep(5 * time.Millisecond)
+			done.Add(1)
+			return nil
+		})
+		return nil
+	}()
+	p, ok := recovered.(*graph.WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %T %v, want *graph.WorkerPanic", recovered, recovered)
+	}
+	if got := done.Load(); got != 4 {
+		t.Fatalf("panic surfaced after %d of 4 healthy chunks finished", got)
+	}
+	if msg := p.Error(); !strings.Contains(msg, "chunk bug") || !strings.Contains(msg, "TestFanOutReraisesChunkPanic") {
+		t.Fatalf("re-raised panic lost the value or the chunk's stack:\n%s", msg)
+	}
+
+	errA, errB := errors.New("a"), errors.New("b")
+	err := fanOut(3, func(i int) error {
+		if i == 0 {
+			time.Sleep(5 * time.Millisecond)
+			return errA
+		}
+		if i == 2 {
+			return errB
+		}
+		return nil
+	})
+	if err != errA {
+		t.Fatalf("fanOut returned %v, want the first chunk's error in index order", err)
+	}
 }

@@ -2,7 +2,7 @@ package spanner
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -28,42 +28,69 @@ import (
 //     cluster — the edge to the smallest-id neighbor in that cluster.
 //
 // H is exactly the union of the W(v): an edge survives while at least
-// one endpoint wants it (a refcount of 1 or 2). Every base edge {u,v}
-// has a detour of length ≤ 3 in H — same cluster: u–c–v over two star
-// edges; different clusters: v–w–c(u)–w' bridge+star; an unclustered
-// endpoint keeps the edge outright — so H is a 3-spanner, certified by
-// Verify in the test suite and by internal/check online.
+// one endpoint wants it. Every base edge {u,v} has a detour of length
+// ≤ 3 in H — same cluster: u–c–v over two star edges; different
+// clusters: v–w–c(u)–w' bridge+star; an unclustered endpoint keeps the
+// edge outright — so H is a 3-spanner, certified by Verify in the test
+// suite and by internal/check online.
 //
 // Locality. Toggling {u,v} changes only N(u) and N(v), so only
 // cluster(u) and cluster(v) can change; W(z) of any other vertex z
 // depends on N(z) (unchanged) and its neighbors' cluster values, so it
 // changes only when z neighbors an endpoint whose cluster changed. One
 // update therefore recomputes W over {u, v} ∪ N(u) ∪ N(v) at worst —
-// the Elkin–Neiman-style local-rule argument — and the refcounts absorb
-// the diff.
+// the Elkin–Neiman-style local-rule argument.
+//
+// Storage. H is kept as a second DynGraph beside G, so the spanner's
+// sorted adjacency is always at hand: Edges is a walk, Snapshot a
+// linear copy. There is no refcount table — an edge {x,y} whose want
+// status may have moved is re-decided from the two sorted sets W(x) and
+// W(y) directly, entering H when one of them holds it and leaving when
+// neither does. Each update reports the net change to H as a Delta,
+// which is what lets the serving layer refresh from the edges that
+// moved instead of re-diffing whole spanners.
 //
 // Incremental does no internal locking; callers serialize updates
 // (oracle.Dynamic holds its update lock across Insert/Delete).
 type Incremental struct {
-	dg   *graph.DynGraph
+	dg   *graph.DynGraph // the live base graph G
+	h    *graph.DynGraph // the maintained spanner H = ∪ W(v)
 	seed uint64
 	n    int
 
 	isCenter []bool
-	cluster  []int32        // center id, or -1 while unclustered
-	want     [][]graph.Edge // W(v), sorted, as last applied to the refcounts
-	ref      map[graph.Edge]int8
+	cluster  []int32   // center id, or -1 while unclustered
+	want     [][]int32 // W(v) as the sorted far endpoints of v's wanted edges
+
+	// seen stamps cluster ids already bridged while wantOf scans one
+	// vertex; bumping stamp clears it in O(1).
+	seen  []uint32
+	stamp uint32
 
 	// Rebuild-threshold bookkeeping: dirty counts applied updates since
 	// the last full recompute; when dirty exceeds threshold·M the next
-	// update recomputes every W(v) instead of diffing locally. The result
-	// is identical either way (the construction is a pure function of the
-	// edge set) — the threshold bounds refcount-drift risk and keeps
-	// per-update cost predictable after heavy churn, it never changes H.
+	// update re-derives every cluster and W(v) instead of only the local
+	// ones. The result is identical either way (the construction is a
+	// pure function of the edge set), and local repair keeps no state
+	// that drifts, so a full recompute only costs an O(m) latency spike
+	// on the update that crosses the threshold; it never changes H.
 	threshold float64
 	dirty     int
 	rebuilds  uint64
 }
+
+// Delta is the net change one update made to the maintained spanner:
+// the edges that entered H and the edges that left it, each in
+// canonical form (U < V, sorted lexicographically). Rebuilt reports
+// that the update took the full-recompute path; the delta is the net
+// change either way.
+type Delta struct {
+	Added, Removed []graph.Edge
+	Rebuilt        bool
+}
+
+// Empty reports whether the update left H unchanged.
+func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
 // IncrementalOptions configures NewIncremental.
 type IncrementalOptions struct {
@@ -91,8 +118,8 @@ func NewIncremental(base *graph.Graph, opts IncrementalOptions) *Incremental {
 		n:         n,
 		isCenter:  make([]bool, n),
 		cluster:   make([]int32, n),
-		want:      make([][]graph.Edge, n),
-		ref:       make(map[graph.Edge]int8),
+		want:      make([][]int32, n),
+		seen:      make([]uint32, n),
 		threshold: opts.RebuildThreshold,
 	}
 	if inc.threshold == 0 {
@@ -104,10 +131,11 @@ func NewIncremental(base *graph.Graph, opts IncrementalOptions) *Incremental {
 	if n > 1 {
 		thr = uint64(float64(thr) / math.Sqrt(float64(n)))
 	}
-	for v := 0; v < n; v++ {
-		inc.isCenter[v] = centerHash(inc.seed, int32(v)) < thr
+	for v := int32(0); v < int32(n); v++ {
+		inc.isCenter[v] = centerHash(inc.seed, v) < thr
 	}
-	inc.recomputeAll()
+	inc.h = graph.NewDynGraph(graph.NewBuilder(n).MustBuild())
+	inc.recompute()
 	return inc
 }
 
@@ -127,6 +155,10 @@ func centerHash(seed uint64, v int32) uint64 {
 // mutate it only through Insert/Delete, never directly.
 func (inc *Incremental) Graph() *graph.DynGraph { return inc.dg }
 
+// H returns the live maintained spanner. It is read-only to callers and
+// changes under every Insert/Delete whose Delta is non-empty.
+func (inc *Incremental) H() *graph.DynGraph { return inc.h }
+
 // Seq returns the applied-update counter (delegates to the DynGraph).
 func (inc *Incremental) Seq() uint64 { return inc.dg.Seq() }
 
@@ -135,7 +167,14 @@ func (inc *Incremental) Seq() uint64 { return inc.dg.Seq() }
 func (inc *Incremental) Rebuilds() uint64 { return inc.rebuilds }
 
 // HM returns the current spanner edge count.
-func (inc *Incremental) HM() int { return len(inc.ref) }
+func (inc *Incremental) HM() int { return inc.h.M() }
+
+// DirtyFraction is the share of applied updates since the last full
+// recompute in the current edge count; the next update recomputes fully
+// once it exceeds the rebuild threshold.
+func (inc *Incremental) DirtyFraction() float64 {
+	return float64(inc.dirty) / float64(max(inc.dg.M(), 1))
+}
 
 // clusterOf recomputes v's cluster from its current neighborhood: v
 // itself when v is a center, else the smallest-id center neighbor, else
@@ -152,148 +191,150 @@ func (inc *Incremental) clusterOf(v int32) int32 {
 	return -1
 }
 
-// wantOf computes W(v) fresh from the current graph and cluster values.
-// The order is irrelevant (entries feed commutative refcounts); the
-// edges themselves are normalized so both endpoints count the same key.
-func (inc *Incremental) wantOf(v int32) []graph.Edge {
+// wantOf computes W(v) fresh from the current graph and cluster values,
+// as the sorted far endpoints of the wanted edges.
+func (inc *Incremental) wantOf(v int32) []int32 {
 	nbrs := inc.dg.Neighbors(v)
 	cv := inc.cluster[v]
-	var out []graph.Edge
 	if cv < 0 {
-		for _, w := range nbrs {
-			out = append(out, graph.Edge{U: v, V: w}.Normalize())
-		}
-		return out
+		return append([]int32(nil), nbrs...)
 	}
-	if !inc.isCenter[v] {
-		out = append(out, graph.Edge{U: v, V: cv}.Normalize())
+	inc.stamp++
+	if inc.stamp == 0 { // wrapped: clear the stale stamps once
+		clear(inc.seen)
+		inc.stamp = 1
 	}
-	seen := map[int32]bool{}
+	var out []int32
 	for _, w := range nbrs { // sorted ⇒ first hit per cluster is min id
-		cw := inc.cluster[w]
-		if cw < 0 || cw == cv || seen[cw] {
+		if w == cv && !inc.isCenter[v] {
+			out = append(out, w) // the star edge
 			continue
 		}
-		seen[cw] = true
-		out = append(out, graph.Edge{U: v, V: w}.Normalize())
+		cw := inc.cluster[w]
+		if cw < 0 || cw == cv || inc.seen[cw] == inc.stamp {
+			continue
+		}
+		inc.seen[cw] = inc.stamp
+		out = append(out, w)
 	}
 	return out
 }
 
-// applyVertex replaces v's contribution to the refcounts with a freshly
-// computed W(v).
-func (inc *Incremental) applyVertex(v int32) {
-	for _, e := range inc.want[v] {
-		if inc.ref[e]--; inc.ref[e] == 0 {
-			delete(inc.ref, e)
-		}
-	}
-	nw := inc.wantOf(v)
-	for _, e := range nw {
-		inc.ref[e]++
-	}
-	inc.want[v] = nw
-}
-
-// recomputeAll rebuilds clusters, want sets, and refcounts from scratch
-// off the current edge set.
-func (inc *Incremental) recomputeAll() {
-	inc.ref = make(map[graph.Edge]int8, len(inc.ref))
-	for v := int32(0); v < int32(inc.n); v++ {
-		inc.cluster[v] = inc.clusterOf(v)
-	}
-	for v := int32(0); v < int32(inc.n); v++ {
-		nw := inc.wantOf(v)
-		for _, e := range nw {
-			inc.ref[e]++
-		}
-		inc.want[v] = nw
-	}
-	inc.dirty = 0
+// wants reports whether W(v) holds the edge {v, w}.
+func (inc *Incremental) wants(v, w int32) bool {
+	_, ok := slices.BinarySearch(inc.want[v], w)
+	return ok
 }
 
 // Insert adds the edge {u, v} to the live graph and maintains the
-// spanner. It reports whether the graph changed and whether maintenance
-// fell back to a full recompute.
-func (inc *Incremental) Insert(u, v int32) (applied, rebuilt bool, err error) {
+// spanner. It reports whether the graph changed and the net change to
+// the spanner (empty for no-ops and errors).
+func (inc *Incremental) Insert(u, v int32) (applied bool, delta Delta, err error) {
 	return inc.update(u, v, true)
 }
 
 // Delete removes the edge {u, v} from the live graph and maintains the
-// spanner. It reports whether the graph changed and whether maintenance
-// fell back to a full recompute.
-func (inc *Incremental) Delete(u, v int32) (applied, rebuilt bool, err error) {
+// spanner. It reports whether the graph changed and the net change to
+// the spanner (empty for no-ops and errors).
+func (inc *Incremental) Delete(u, v int32) (applied bool, delta Delta, err error) {
 	return inc.update(u, v, false)
 }
 
-func (inc *Incremental) update(u, v int32, add bool) (applied, rebuilt bool, err error) {
+func (inc *Incremental) update(u, v int32, add bool) (applied bool, delta Delta, err error) {
 	if add {
 		applied, err = inc.dg.Insert(u, v)
 	} else {
 		applied, err = inc.dg.Delete(u, v)
 	}
 	if err != nil || !applied {
-		return applied, false, err
+		return applied, Delta{}, err
 	}
 	inc.dirty++
-	m := inc.dg.M()
-	if m < 1 {
-		m = 1
-	}
-	if inc.threshold >= 0 && float64(inc.dirty) > inc.threshold*float64(m) {
-		inc.recomputeAll()
+	if inc.threshold >= 0 && inc.DirtyFraction() > inc.threshold {
 		inc.rebuilds++
-		return true, true, nil
+		delta = inc.recompute()
+		delta.Rebuilt = true
+		return true, delta, nil
 	}
 
 	// Local maintenance: only the endpoints' clusters can move; their
 	// neighbors re-derive W only when the adjacent cluster value changed.
 	affected := []int32{u, v}
 	for _, x := range [2]int32{u, v} {
-		old := inc.cluster[x]
 		nc := inc.clusterOf(x)
-		if nc == old {
+		if nc == inc.cluster[x] {
 			continue
 		}
 		inc.cluster[x] = nc
 		affected = append(affected, inc.dg.Neighbors(x)...)
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-	var last int32 = -1
-	for _, z := range affected {
-		if z == last {
-			continue
-		}
-		last = z
-		inc.applyVertex(z)
+	slices.Sort(affected)
+	return true, inc.reapply(slices.Compact(affected)), nil
+}
+
+// recompute re-derives every cluster and every W(v) from scratch and
+// brings H in line, resetting the dirty count.
+func (inc *Incremental) recompute() Delta {
+	all := make([]int32, inc.n)
+	for v := range all {
+		all[v] = int32(v)
+		inc.cluster[v] = inc.clusterOf(int32(v))
 	}
-	return true, false, nil
+	inc.dirty = 0
+	return inc.reapply(all)
+}
+
+// reapply re-derives W(z) for each distinct vertex z in zs, then
+// re-decides every edge whose want status moved — those in the
+// symmetric difference of some old and new W(z) — against the final
+// want sets, so H ends as exactly ∪ W(v) and the delta is net.
+func (inc *Incremental) reapply(zs []int32) Delta {
+	var moved []graph.Edge
+	for _, z := range zs {
+		old, nw := inc.want[z], inc.wantOf(z)
+		i, j := 0, 0
+		for i < len(old) || j < len(nw) {
+			switch {
+			case j == len(nw) || (i < len(old) && old[i] < nw[j]):
+				moved = append(moved, graph.Edge{U: z, V: old[i]}.Normalize())
+				i++
+			case i == len(old) || nw[j] < old[i]:
+				moved = append(moved, graph.Edge{U: z, V: nw[j]}.Normalize())
+				j++
+			default:
+				i++
+				j++
+			}
+		}
+		inc.want[z] = nw
+	}
+	var d Delta
+	for _, e := range moved {
+		if inc.wants(e.U, e.V) || inc.wants(e.V, e.U) {
+			if ok, _ := inc.h.Insert(e.U, e.V); ok {
+				d.Added = append(d.Added, e)
+			}
+		} else if ok, _ := inc.h.Delete(e.U, e.V); ok {
+			d.Removed = append(d.Removed, e)
+		}
+	}
+	slices.SortFunc(d.Added, graph.CompareEdges)
+	slices.SortFunc(d.Removed, graph.CompareEdges)
+	return d
 }
 
 // Edges returns the current spanner edge set, each edge once with U < V,
 // sorted lexicographically — the canonical form compared byte-for-byte
-// by the incremental-vs-rebuilt differential.
-func (inc *Incremental) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(inc.ref))
-	for e := range inc.ref {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
+// by the incremental-vs-rebuilt differential. It walks H's sorted lists;
+// nothing is sorted.
+func (inc *Incremental) Edges() []graph.Edge { return inc.h.Edges() }
 
 // Spanner freezes the maintained structure into the immutable Spanner
-// form over a snapshot of the live graph. The certified stretch is 3 by
-// the per-edge detour argument in the type comment.
+// form over snapshots of the live graph and spanner. The certified
+// stretch is 3 by the per-edge detour argument in the type comment.
 func (inc *Incremental) Spanner() *Spanner {
-	base := inc.dg.Snapshot()
-	h := graph.FromEdges(inc.n, inc.Edges())
-	return &Spanner{Base: base, H: h, Primary: h, Algorithm: "incremental-cluster3"}
+	h := inc.h.Snapshot()
+	return &Spanner{Base: inc.dg.Snapshot(), H: h, Primary: h, Algorithm: "incremental-cluster3"}
 }
 
 // IncrementalAlpha is the distance stretch the incremental construction

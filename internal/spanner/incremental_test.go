@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/graph/graphtest"
 	"repro/internal/rng"
 )
 
@@ -86,19 +87,19 @@ func TestIncrementalRebuildThresholdSemanticsFree(t *testing.T) {
 			continue
 		}
 		add := r.Bernoulli(0.5)
-		var rebuilt bool
+		var d Delta
 		var err1, err2 error
 		if add {
-			_, rebuilt, err1 = eager.Insert(u, v)
+			_, d, err1 = eager.Insert(u, v)
 			_, _, err2 = lazy.Insert(u, v)
 		} else {
-			_, rebuilt, err1 = eager.Delete(u, v)
+			_, d, err1 = eager.Delete(u, v)
 			_, _, err2 = lazy.Delete(u, v)
 		}
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		sawRebuild = sawRebuild || rebuilt
+		sawRebuild = sawRebuild || d.Rebuilt
 		if !edgesEqual(eager.Edges(), lazy.Edges()) {
 			t.Fatalf("step %d: rebuild path diverged from local maintenance", step)
 		}
@@ -133,7 +134,7 @@ func TestIncrementalNoOpUpdates(t *testing.T) {
 }
 
 // Disconnecting and reconnecting a component round-trips to the exact
-// original spanner — deletions must fully unwind refcounts.
+// original spanner — deletions must fully unwind H.
 func TestIncrementalDeleteReinsertRoundTrip(t *testing.T) {
 	base := gen.ErdosRenyi(30, 0.15, rng.New(21))
 	inc := NewIncremental(base, IncrementalOptions{Seed: 77, RebuildThreshold: -1})
@@ -154,5 +155,57 @@ func TestIncrementalDeleteReinsertRoundTrip(t *testing.T) {
 	}
 	if !edgesEqual(inc.Edges(), want) {
 		t.Fatal("delete-all/re-insert-all did not restore the original spanner")
+	}
+}
+
+// The delta an update reports is exactly the diff of Edges() before and
+// after it — through local repairs, full recomputes (a 3% threshold
+// forces many) and no-ops, whose delta is empty — and Rebuilt flags
+// exactly the updates that advanced Rebuilds.
+func TestIncrementalDeltaIsEdgeDiff(t *testing.T) {
+	for name, thr := range map[string]float64{"local": -1, "rebuilding": 0.03} {
+		base := gen.ErdosRenyi(34, 0.14, rng.New(17))
+		inc := NewIncremental(base, IncrementalOptions{Seed: 0xde17a, RebuildThreshold: thr})
+		r := rng.New(23)
+		sawRebuild, sawNoop, sawChange := false, false, false
+		for step := 0; step < 400; step++ {
+			u, v := int32(r.Intn(34)), int32(r.Intn(34))
+			if u == v {
+				continue
+			}
+			before, rebuilds := inc.Edges(), inc.Rebuilds()
+			var (
+				applied bool
+				d       Delta
+				err     error
+			)
+			if r.Bernoulli(0.5) {
+				applied, d, err = inc.Insert(u, v)
+			} else {
+				applied, d, err = inc.Delete(u, v)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			added, removed := graphtest.DiffEdges(before, inc.Edges())
+			if !edgesEqual(d.Added, added) || !edgesEqual(d.Removed, removed) {
+				t.Fatalf("%s step %d: delta +%v -%v, Edges() diff +%v -%v", name, step, d.Added, d.Removed, added, removed)
+			}
+			if d.Rebuilt != (inc.Rebuilds() != rebuilds) {
+				t.Fatalf("%s step %d: Rebuilt=%v but Rebuilds %d -> %d", name, step, d.Rebuilt, rebuilds, inc.Rebuilds())
+			}
+			if inc.HM() != len(inc.Edges()) {
+				t.Fatalf("%s step %d: HM=%d, Edges has %d", name, step, inc.HM(), len(inc.Edges()))
+			}
+			sawRebuild = sawRebuild || d.Rebuilt
+			sawNoop = sawNoop || !applied
+			sawChange = sawChange || !d.Empty()
+			if !applied && (!d.Empty() || d.Rebuilt) {
+				t.Fatalf("%s step %d: no-op reported delta %+v", name, step, d)
+			}
+		}
+		if !sawNoop || !sawChange || sawRebuild != (thr > 0) {
+			t.Fatalf("%s: coverage noop=%v change=%v rebuild=%v", name, sawNoop, sawChange, sawRebuild)
+		}
 	}
 }

@@ -206,6 +206,11 @@ func (c *Client) roundTrip(typ byte, payload []byte, tc TraceContext) (Frame, er
 		return Frame{}, err
 	}
 
+	// A stopped timer, not time.After: under the module's go 1.22 timer
+	// semantics an unstopped timer stays live until it fires, so one per
+	// request would pin RequestTimeout's worth of them.
+	timer := time.NewTimer(c.opts.RequestTimeout)
+	defer timer.Stop()
 	select {
 	case f, ok := <-ch:
 		if !ok {
@@ -218,7 +223,7 @@ func (c *Client) roundTrip(typ byte, payload []byte, tc TraceContext) (Frame, er
 			return Frame{}, &RemoteError{Msg: string(f.Payload)}
 		}
 		return f, nil
-	case <-time.After(c.opts.RequestTimeout):
+	case <-timer.C:
 		// The id stays claimed forever if we just walk away; the stream
 		// itself may also be wedged. Either way the connection is done.
 		err := fmt.Errorf("wire: request %d timed out after %v", id, c.opts.RequestTimeout)

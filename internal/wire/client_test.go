@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -210,5 +211,47 @@ func TestClientServerDisconnectFailsPending(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("pending request hung after disconnect")
+	}
+}
+
+// Request timers must die with their requests. Under the module's go
+// 1.22 timer semantics an unstopped time.After timer stays live until it
+// fires, so a per-request one would pin ~20k timers (channel included)
+// for the whole RequestTimeout here; stopping it on return keeps the
+// heap flat.
+func TestClientRequestTimersDoNotAccumulate(t *testing.T) {
+	addr := stubServer(t, func(f Frame) *Frame {
+		q, err := DecodeQuery(f.Payload)
+		if err != nil {
+			return &Frame{Type: MsgErr, ID: f.ID, Payload: []byte(err.Error())}
+		}
+		return &Frame{Type: MsgDistR, ID: f.ID, Payload: AppendAnswer(nil, oracle.Answer{U: q.U, V: q.V})}
+	})
+	c, err := Dial(addr, ClientOptions{RequestTimeout: time.Hour})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	run := func(k int) {
+		for i := 0; i < k; i++ {
+			if _, err := c.Dist(int32(i%7), 9); err != nil {
+				t.Fatalf("Dist: %v", err)
+			}
+		}
+	}
+	run(1000) // warm buffers, maps and goroutine stacks
+	before := heap()
+	const requests = 20000
+	run(requests)
+	if grew := int64(heap()) - int64(before); grew > 1<<20 {
+		t.Fatalf("heap grew %d bytes over %d requests (%.0f B/request): request timers are leaking",
+			grew, requests, float64(grew)/requests)
 	}
 }
