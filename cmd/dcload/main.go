@@ -59,8 +59,8 @@ func main() {
 	zipfS := flag.Float64("zipf", 0, "Zipf skew of query endpoints (0 = uniform)")
 	batchMix := flag.String("batch", "1:3,16:1", "batch-size mix as size:weight,...")
 	seed := flag.Uint64("seed", 1, "workload RNG seed")
-	traceN := flag.Int("trace", 0, "request sampling of every Nth request (sets the wire v3 sampling bit; 0 disables)")
-	updRate := flag.Float64("updates", 0, "edge mutations/sec on one dedicated connection (wire v4; needs a dynamic target)")
+	traceN := flag.Int("trace", 0, "request sampling of every Nth request (sets the wire sampling bit; 0 disables)")
+	updRate := flag.Float64("updates", 0, "edge mutations/sec on one dedicated connection (needs a dynamic target)")
 	flag.Parse()
 
 	mix, err := parseMix(*batchMix)
@@ -112,7 +112,7 @@ func main() {
 	// end state is a deterministic function of (seed, rate, duration)
 	// regardless of how the query pool is scheduled.
 	var updConn *wire.Client
-	var updSent, updApplied, updRebuilt, updErrs atomic.Int64
+	var updSent, updApplied, updErrs atomic.Int64
 	if *updRate > 0 {
 		updConn, err = wire.Dial(*addr, wire.ClientOptions{})
 		if err != nil {
@@ -120,10 +120,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer updConn.Close()
-		if updConn.Version() < 4 {
-			fmt.Fprintf(os.Stderr, "dcload: -updates needs wire v4, target negotiated v%d\n", updConn.Version())
-			os.Exit(2)
-		}
 	}
 
 	lat := stats.NewLatencyHistogram()
@@ -135,8 +131,7 @@ func main() {
 	// from t0 (the intended start in open loop, the actual start in
 	// closed loop). Every -trace'th request carries the wire sampling
 	// bit; the server answers with the sampled bit set when it traced the
-	// request (a v2 target never does — the trace field doesn't survive
-	// the downgrade).
+	// request.
 	run := func(c *wire.Client, r *rng.RNG, t0 time.Time) {
 		size := mix.pick(r)
 		var tc wire.TraceContext
@@ -197,9 +192,6 @@ func main() {
 				}
 				if res.Applied {
 					updApplied.Add(1)
-				}
-				if res.Rebuilt {
-					updRebuilt.Add(1)
 				}
 			}
 		}()
@@ -278,8 +270,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dcload: verify snapshot:", serr)
 			os.Exit(1)
 		}
-		fmt.Printf("updates: sent=%d applied=%d rebuilt=%d errs=%d\n",
-			updSent.Load(), updApplied.Load(), updRebuilt.Load(), updErrs.Load())
+		fmt.Printf("updates: sent=%d applied=%d errs=%d\n",
+			updSent.Load(), updApplied.Load(), updErrs.Load())
 		fmt.Printf("update consistency: seq=%d m=%d hm=%d verified=%t consistent=%t\n",
 			si.Seq, si.M, si.HM, si.Verified, si.Consistent)
 		if !si.Consistent {

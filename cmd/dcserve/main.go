@@ -25,7 +25,7 @@
 // With -dynamic the server maintains an incremental cluster spanner over
 // a live graph and additionally answers (see internal/server):
 //
-//	update <u> <v> <add|del>  ->  update ... = applied=<t|f> rebuilt=<t|f> m=<m> hm=<hm> seq=<s>
+//	update <u> <v> <add|del>  ->  update ... = applied=<t|f> m=<m> hm=<hm> seq=<s>
 //	snapshot [verify]         ->  snapshot n=... m=... hm=... seq=... ghash=... hhash=... verified=<t|f> consistent=<t|f>
 //
 // Errors answer "err <message>" and keep the connection open.
@@ -55,8 +55,6 @@ func main() {
 	algo := flag.String("algo", "expander", "spanner: expander|regular|baswana-sen|greedy|sparsify-uniform|bounded-degree")
 	dynamic := flag.Bool("dynamic", false,
 		"serve a live graph: maintain an incremental cluster spanner and accept update/snapshot verbs (ignores -algo)")
-	rebuildThr := flag.Float64("rebuild-threshold", 0,
-		"dynamic mode: dirty fraction triggering a full spanner recompute (0 = default, negative disables)")
 	k := flag.Int("k", 2, "Baswana-Sen parameter (stretch 2k-1)")
 	alpha := flag.Int("alpha", 3, "greedy spanner stretch")
 	backend := flag.String("oracle-backend", "auto",
@@ -66,7 +64,6 @@ func main() {
 	memBudget := flag.Int64("oracle-mem", 0, "auto-tuner memory budget in bytes (0 = 128 MiB, negative = unlimited)")
 	cacheSize := flag.Int("cache", 1<<16, "LRU result-cache entries (negative disables)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	maxDist := flag.Int("maxdist", 0, "exact-search depth bound; deeper answers fall back to the landmark bound (0 = unbounded)")
 	sample := flag.Int("sample", 64, "verify every k-th query against exact BFS on G for realized stretch (negative disables)")
 	listen := flag.String("listen", "", "serve the line protocol on this TCP address instead of stdin")
 	demo := flag.Bool("demo", false, "answer -queries mixed random queries, print the latency report, and exit")
@@ -121,7 +118,6 @@ func main() {
 		MemoryBudget: *memBudget,
 		CacheSize:    *cacheSize,
 		Workers:      *workers,
-		MaxDist:      *maxDist,
 		SampleEvery:  *sample,
 		Registry:     reg,
 	}
@@ -136,7 +132,7 @@ func main() {
 	t0 := time.Now()
 	if *dynamic {
 		d, err := oracle.NewDynamic(g, oracle.DynamicOptions{
-			Spanner: spanner.IncrementalOptions{Seed: cfg.Seed, RebuildThreshold: *rebuildThr},
+			Spanner: spanner.IncrementalOptions{Seed: cfg.Seed},
 			Oracle:  oracleOpts,
 		})
 		if err != nil {

@@ -285,10 +285,10 @@ func prepareChurn(opt Options, reg *obs.Registry) (Iter, error) {
 	// started — every pair is toggled once forward and once in reverse,
 	// and flips are involutions — so the engines never drift apart and
 	// the fingerprint is stable across iterations and worker counts.
-	// Rebuilt and Seq are deliberately NOT folded into the fingerprint:
-	// both carry state across iteration boundaries (the dirty-fraction
-	// counter and the update counter), while M/HM/answers/hashes are pure
-	// functions of the toggle position within one iteration.
+	// Seq is deliberately NOT folded into the fingerprint: the update
+	// counter carries state across iteration boundaries, while
+	// M/HM/answers/hashes are pure functions of the toggle position
+	// within one iteration.
 	type engine struct {
 		d   *oracle.Dynamic
 		cur map[graph.Edge]bool

@@ -116,13 +116,13 @@ func TestCheckAnswerCatchesWrongAnswers(t *testing.T) {
 	}{
 		{"wrong exact distance", oracle.Answer{U: 0, V: 3, Dist: 2, Bound: 3, Exact: true}},
 		{"wrong bound", oracle.Answer{U: 0, V: 3, Dist: 3, Bound: 4, Exact: true}},
-		{"inexact from unbounded oracle", oracle.Answer{U: 0, V: 3, Dist: 3, Bound: 3, Exact: false}},
+		{"inexact answer", oracle.Answer{U: 0, V: 3, Dist: 3, Bound: 3, Exact: false}},
 		{"nonzero self distance", oracle.Answer{U: 2, V: 2, Dist: 1, Bound: 0, Exact: true}},
 	}
 	for _, tc := range cases {
 		rep := &Report{}
 		ck := &checker{rep: rep, family: "test", check: tc.name, seed: 1}
-		checkAnswer(ck, tc.a, dist, lms, -1)
+		checkAnswer(ck, tc.a, dist, lms)
 		if rep.OK() {
 			t.Errorf("%s: corrupted answer produced no divergence", tc.name)
 		}
@@ -130,7 +130,7 @@ func TestCheckAnswerCatchesWrongAnswers(t *testing.T) {
 	// And a correct answer must not fire.
 	rep := &Report{}
 	ck := &checker{rep: rep, family: "test", check: "good", seed: 1}
-	checkAnswer(ck, oracle.Answer{U: 0, V: 3, Dist: 3, Bound: 3, Exact: true}, dist, lms, -1)
+	checkAnswer(ck, oracle.Answer{U: 0, V: 3, Dist: 3, Bound: 3, Exact: true}, dist, lms)
 	if !rep.OK() {
 		t.Errorf("correct answer flagged: %v", rep.Divergences)
 	}

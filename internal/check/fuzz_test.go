@@ -83,49 +83,46 @@ func FuzzServerProtocol(f *testing.F) {
 }
 
 // FuzzWireFrame throws arbitrary bytes at the binary protocol's frame and
-// payload decoders, at both frame versions (v2 without trace context, v3
-// with it). Truncated frames, oversized length prefixes, bad magic, and
-// lying batch counts must all come back as errors — never a panic, and
-// never an allocation driven by an attacker-chosen length (the 1 KiB
-// frame limit here means any decoded payload is at most 1 KiB, whatever
-// the length prefix claims). A frame that does decode must re-encode and
-// re-decode to itself at the version it was decoded at.
+// payload decoders. Truncated frames, oversized length prefixes, bad
+// magic, and lying batch counts must all come back as errors — never a
+// panic, and never an allocation driven by an attacker-chosen length
+// (the 1 KiB frame limit here means any decoded payload is at most
+// 1 KiB, whatever the length prefix claims). A frame that does decode
+// must re-encode and re-decode to itself.
 func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x09, 0x01, 0, 0, 0, 0, 0, 0, 0, 1}) // minimal valid v2 frame
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                               // 4 GiB length prefix
-	f.Add([]byte{0x00, 0x00, 0x00, 0x03})                               // body below the fixed header
-	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x02})                         // declared 256, carries 1
-	f.Add([]byte("\xd5CP2\x00\x02\x00\x02"))                            // a hello is not a frame
-	f.Add([]byte("\xd5CP2\x00\x02\x00\x03"))                            // v2..v3 hello
+	f.Add(wire.AppendFrame(nil, wire.Frame{Type: 0x01, ID: 1})) // minimal valid frame
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                       // 4 GiB length prefix
+	f.Add([]byte{0x00, 0x00, 0x00, 0x03})                       // body below the fixed header
+	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x02})                 // declared 256, carries 1
+	f.Add([]byte("\xd5CP2\x00\x02\x00\x02"))                    // a hello is not a frame
+	f.Add([]byte("\xd5CP2\x00\x04\x00\x04"))                    // nor is the current one
 	f.Add(wire.AppendFrame(nil, wire.Frame{Type: 0x02, ID: 7,
 		Payload: wire.AppendQueries(nil, []oracle.Query{{U: 1, V: 2}, {U: -1, V: 1 << 30}})}))
-	f.Add(wire.AppendFrameV(nil, wire.Frame{Type: 0x01, ID: 9,
+	f.Add(wire.AppendFrame(nil, wire.Frame{Type: 0x01, ID: 9,
 		Trace:   wire.SampledContext(0xdeadbeef),
-		Payload: wire.AppendQuery(nil, oracle.Query{U: 3, V: 4})}, wire.VersionMax))
+		Payload: wire.AppendQuery(nil, oracle.Query{U: 3, V: 4})}))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		const limit = 1 << 10
-		for _, version := range []uint16{wire.VersionMin, wire.VersionMax} {
-			fr, err := wire.ReadFrameV(bytes.NewReader(input), limit, version)
-			if err == nil {
-				if len(fr.Payload) > limit {
-					t.Fatalf("v%d: decoded payload of %d bytes exceeds the %d limit", version, len(fr.Payload), limit)
-				}
-				reenc := wire.AppendFrameV(nil, fr, version)
-				again, rerr := wire.ReadFrameV(bytes.NewReader(reenc), limit, version)
-				if rerr != nil {
-					t.Fatalf("v%d: re-decoding a decoded frame failed: %v", version, rerr)
-				}
-				if again.Type != fr.Type || again.ID != fr.ID || again.Trace != fr.Trace || !bytes.Equal(again.Payload, fr.Payload) {
-					t.Fatalf("v%d: frame round trip changed: %+v -> %+v", version, fr, again)
-				}
-				// Payload decoders must be total on arbitrary payloads too.
-				wire.DecodeQueries(fr.Payload)
-				wire.DecodeAnswers(fr.Payload)
-				wire.DecodeQuery(fr.Payload)
-				wire.DecodeAnswer(fr.Payload)
-				wire.DecodeInfo(fr.Payload)
+		fr, err := wire.ReadFrame(bytes.NewReader(input), limit)
+		if err == nil {
+			if len(fr.Payload) > limit {
+				t.Fatalf("decoded payload of %d bytes exceeds the %d limit", len(fr.Payload), limit)
 			}
+			reenc := wire.AppendFrame(nil, fr)
+			again, rerr := wire.ReadFrame(bytes.NewReader(reenc), limit)
+			if rerr != nil {
+				t.Fatalf("re-decoding a decoded frame failed: %v", rerr)
+			}
+			if again.Type != fr.Type || again.ID != fr.ID || again.Trace != fr.Trace || !bytes.Equal(again.Payload, fr.Payload) {
+				t.Fatalf("frame round trip changed: %+v -> %+v", fr, again)
+			}
+			// Payload decoders must be total on arbitrary payloads too.
+			wire.DecodeQueries(fr.Payload)
+			wire.DecodeAnswers(fr.Payload)
+			wire.DecodeQuery(fr.Payload)
+			wire.DecodeAnswer(fr.Payload)
+			wire.DecodeInfo(fr.Payload)
 		}
 		wire.ParseHello(input)
 		wire.ParseHelloReply(input)

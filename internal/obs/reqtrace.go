@@ -11,13 +11,13 @@ import (
 // Resolution-path bits: how the oracle answered a query. A request trace
 // ORs the bit of every path its queries took, so a batch that mixed
 // cache hits with bidirectional searches reports both. The mask travels
-// in v3 wire response flags (see internal/wire.ResponseContext), which
+// in wire response flags (see internal/wire.ResponseContext), which
 // is why it must stay within six bits — the flags byte spends one bit on
 // sampling and reserves the top bit.
 const (
 	PathCache    uint8 = 1 << iota // sharded-LRU cache hit (landmark-bibfs backend)
-	PathLandmark                   // landmark upper bound was tight enough
-	PathBiBFS                      // bounded bidirectional BFS
+	PathLandmark                   // landmark-bound fallback; no backend sets it now, the bit keeps its wire position
+	PathBiBFS                      // bidirectional BFS
 	PathBulk                       // bulk multi-source BFS sweep (batch arm)
 	PathExact                      // precomputed all-pairs table (exact-cached backend)
 	PathHub                        // hub bunch hit or hub upper bound (sparse-hub backend)

@@ -12,22 +12,19 @@ import (
 
 // landmarkBackend is the original serving engine (see the package doc):
 // a sharded LRU result cache, a k-landmark upper-bound table, and a
-// bounded bidirectional BFS for the exact-on-spanner distance, plus a
-// bulk multi-source BFS arm for large batches. Unbounded (maxDist < 0)
-// it declares stretch bound 1 — every answer is exact on H; with a
-// depth bound it declares no constant stretch, because a query past the
-// bound serves the landmark upper bound, which has no worst-case ratio.
+// bidirectional BFS for the exact-on-spanner distance, plus a bulk
+// multi-source BFS arm for large batches. It declares stretch bound 1 —
+// every answer is exact on H; the landmark bound rides along in
+// Answer.Bound.
 type landmarkBackend struct {
 	h       *graph.Graph
 	lm      *landmarkTable
 	cache   *shardedCache
-	maxDist int32
 	workers int
 	lmCount int    // resolved landmark count, kept for refresh
 	seed    uint64 // landmark-selection seed, kept for refresh
 
 	pathCacheHit atomic.Int64
-	pathLandmark atomic.Int64
 	pathBiBFS    atomic.Int64
 	pathBulk     atomic.Int64
 	frontier     *stats.Histogram
@@ -36,8 +33,8 @@ type landmarkBackend struct {
 }
 
 // newLandmarkBackend builds the landmark table and cache per the
-// Options defaults: 16 landmarks, a 1<<16-entry cache over 4×workers
-// shards, unbounded search.
+// Options defaults: 16 landmarks and a 1<<16-entry cache over 4×workers
+// shards.
 func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Span) *landmarkBackend {
 	k := opts.Landmarks
 	if k == 0 {
@@ -51,10 +48,6 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 	if cacheSize == 0 {
 		cacheSize = 1 << 16
 	}
-	maxDist := int32(opts.MaxDist)
-	if maxDist <= 0 {
-		maxDist = -1
-	}
 	lsp := trace.Start("landmark-table")
 	lm := buildLandmarkTable(h, k, opts.Seed)
 	lsp.SetKV("landmarks", len(lm.roots))
@@ -63,7 +56,6 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 		h:        h,
 		lm:       lm,
 		cache:    newShardedCache(cacheSize, shards),
-		maxDist:  maxDist,
 		workers:  workers,
 		lmCount:  k,
 		seed:     opts.Seed,
@@ -76,14 +68,8 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 // Name implements Backend.
 func (b *landmarkBackend) Name() string { return BackendLandmarkBiBFS }
 
-// StretchBound implements Backend: 1 (exact on H) when the search is
-// unbounded, 0 (no declared bound) in bounded-search mode.
-func (b *landmarkBackend) StretchBound() int {
-	if b.maxDist < 0 {
-		return 1
-	}
-	return 0
-}
+// StretchBound implements Backend: 1, every answer is exact on H.
+func (b *landmarkBackend) StretchBound() int { return 1 }
 
 // MemoryBytes implements Backend: the landmark rows plus the cache's
 // slot arrays (each entry holds a key, value, and two list links).
@@ -95,9 +81,8 @@ func (b *landmarkBackend) MemoryBytes() int64 {
 	return bytes
 }
 
-// Dist implements Backend: cache probe, then bounded bidirectional BFS
-// pruned by the landmark bound, falling back to the bound itself when
-// the depth budget is exhausted.
+// Dist implements Backend: cache probe, then bidirectional BFS, with the
+// landmark upper bound reported alongside.
 func (b *landmarkBackend) Dist(u, v int32) (Answer, uint8) {
 	ans := Answer{U: u, V: v, Exact: true}
 	ans.Bound = b.lm.upperBound(u, v)
@@ -110,16 +95,9 @@ func (b *landmarkBackend) Dist(u, v int32) (Answer, uint8) {
 		}
 	}
 	sc := b.searchPool.Get().(*biScratch)
-	d, exact := sc.distance(b.h, u, v, b.maxDist, ans.Bound)
+	d := sc.distance(b.h, u, v, ans.Bound)
 	b.frontier.Observe(float64(sc.maxFrontier))
 	b.searchPool.Put(sc)
-	if !exact {
-		// Depth budget exhausted: serve the landmark bound, uncached.
-		b.pathLandmark.Add(1)
-		ans.Dist = ans.Bound
-		ans.Exact = false
-		return ans, obs.PathLandmark
-	}
 	b.pathBiBFS.Add(1)
 	ans.Dist = d
 	if b.cache != nil {
@@ -139,24 +117,18 @@ const bulkMinBatch = 128
 // when the spanner is dense enough), and reads each query's answer out
 // of its source's row.
 //
-// Two gates keep it an exact drop-in for the per-query path:
-//
-//   - Unbounded searches only (maxDist < 0). A full BFS row is always
-//     the exact spanner distance, matching the per-query search's every
-//     answer bit for bit. A bounded search can exhaust its depth budget
-//     and fall back to the landmark bound — whether it does depends on
-//     component radii in a way a full BFS cannot mirror — so bounded
-//     batches take the per-query path.
-//   - Enough source sharing (valid queries ≥ 2× distinct sources), since
-//     the sweep's cost is per-source while the per-query path's is
-//     per-query.
+// A full BFS row is always the exact spanner distance, matching the
+// per-query search's every answer bit for bit. The arm runs only with
+// enough source sharing (valid queries ≥ 2× distinct sources), since
+// the sweep's cost is per-source while the per-query path's is
+// per-query.
 //
 // The bulk path never touches the result cache (it neither reads nor
 // seeds it — the sweep is cheaper than n cache probes, and a full row
 // would flood the LRU); served queries land in the oracle_path_bulk
 // counter instead of the per-query resolution-path counters.
 func (b *landmarkBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
-	if b.maxDist >= 0 || len(qs) < bulkMinBatch {
+	if len(qs) < bulkMinBatch {
 		return 0, false
 	}
 	n := int32(b.h.N())
@@ -246,13 +218,12 @@ func (b *landmarkBackend) Stats() BackendStats {
 		StretchBound: b.StretchBound(),
 		MemoryBytes:  b.MemoryBytes(),
 		Counters: map[string]int64{
-			"cache_hits":    hits,
-			"cache_misses":  misses,
-			"path_cache":    b.pathCacheHit.Load(),
-			"path_landmark": b.pathLandmark.Load(),
-			"path_bibfs":    b.pathBiBFS.Load(),
-			"path_bulk":     b.pathBulk.Load(),
-			"landmarks":     int64(len(b.lm.roots)),
+			"cache_hits":   hits,
+			"cache_misses": misses,
+			"path_cache":   b.pathCacheHit.Load(),
+			"path_bibfs":   b.pathBiBFS.Load(),
+			"path_bulk":    b.pathBulk.Load(),
+			"landmarks":    int64(len(b.lm.roots)),
 		},
 	}
 }
@@ -272,8 +243,6 @@ func (b *landmarkBackend) attachMetrics(reg *obs.Registry) {
 	reg.CounterFuncLabeled(metricCacheMisses, "Result-cache misses.", "backend", label, misses)
 	reg.CounterFuncLabeled(metricPathCacheHit, "Resolutions served from the result cache.",
 		"backend", label, b.pathCacheHit.Load)
-	reg.CounterFuncLabeled(metricPathLandmark, "Resolutions falling back to the landmark upper bound.",
-		"backend", label, b.pathLandmark.Load)
 	reg.CounterFuncLabeled(metricPathBiBFS, "Resolutions answered exactly by bidirectional BFS.",
 		"backend", label, b.pathBiBFS.Load)
 	reg.CounterFuncLabeled(metricPathBulk, "Batch queries answered exactly by the bulk multi-source BFS sweep.",

@@ -79,24 +79,3 @@ func TestAnswerBulkMatchesPerQueryPath(t *testing.T) {
 		}
 	}
 }
-
-// Bounded oracles must never take the bulk path: a depth-limited search
-// can legitimately return an inexact landmark-bound answer, which a full
-// BFS row cannot mirror.
-func TestAnswerBulkSkipsBoundedOracles(t *testing.T) {
-	dc := buildTestSpanner(t, 128, 32, 13)
-	o, err := New(dc, Options{Landmarks: 6, Workers: 2, CacheSize: -1, SampleEvery: -1, MaxDist: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]Query, 400)
-	r := rng.New(8)
-	for i := range qs {
-		qs[i] = Query{U: int32(r.Intn(16)), V: int32(r.Intn(128))}
-	}
-	o.AnswerBatch(qs)
-	snap := o.Registry().Snapshot()
-	if got := snap.Counters[backendKey(metricPathBulk, BackendLandmarkBiBFS)]; got != 0 {
-		t.Fatalf("bounded oracle served %d queries through the bulk path", got)
-	}
-}

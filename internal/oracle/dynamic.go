@@ -38,32 +38,28 @@ const (
 	metricUpdateLatency = "oracle_update_latency_seconds"
 	metricUpdateSeq     = "oracle_update_seq"
 	metricSpannerEdges  = "oracle_spanner_edges"
-	metricDirtyFraction = "oracle_spanner_dirty_fraction"
 )
 
-// updateMetrics is the update path's accounting: three counters, two
-// phase histograms and three gauges, all written under the update lock
+// updateMetrics is the update path's accounting: two counters, two
+// phase histograms and two gauges, all written under the update lock
 // and read lock-free by scrapes. Queries touch none of it.
 type updateMetrics struct {
-	applied, noop, rebuilt *obs.Counter
-	repair, refresh        *stats.Histogram
-	seq, edges, dirty      *obs.Gauge
+	applied, noop   *obs.Counter
+	repair, refresh *stats.Histogram
+	seq, edges      *obs.Gauge
 }
 
 func newUpdateMetrics(reg *obs.Registry) updateMetrics {
-	const help = "Edge updates by outcome: applied (local spanner repair), noop (edge already present/absent), rebuilt (applied by a full spanner recompute)."
+	const help = "Edge updates by outcome: applied (local spanner repair), noop (edge already present/absent)."
 	const latHelp = "Applied-update time by phase: repair is the graph mutation plus spanner repair; refresh snapshots the changed spanner and refreshes the backend (skipped when the spanner did not change)."
 	bounds := stats.ExpBuckets(1e-6, 2, 24) // 1 µs … ~8 s
 	return updateMetrics{
 		applied: reg.CounterLabeled(metricUpdates, help, "result", "applied"),
 		noop:    reg.CounterLabeled(metricUpdates, help, "result", "noop"),
-		rebuilt: reg.CounterLabeled(metricUpdates, help, "result", "rebuilt"),
 		repair:  reg.HistogramLabeled(metricUpdateLatency, latHelp, "phase", "repair", bounds),
 		refresh: reg.HistogramLabeled(metricUpdateLatency, latHelp, "phase", "refresh", bounds),
 		seq:     reg.Gauge(metricUpdateSeq, "Applied-update sequence number of the live graph."),
 		edges:   reg.Gauge(metricSpannerEdges, "Edge count of the maintained spanner."),
-		dirty: reg.Gauge(metricDirtyFraction,
-			"Applied updates since the last full spanner recompute over the live edge count; a recompute runs once it passes the rebuild threshold."),
 	}
 }
 
@@ -71,13 +67,11 @@ func newUpdateMetrics(reg *obs.Registry) updateMetrics {
 func (m *updateMetrics) observe(inc *spanner.Incremental) {
 	m.seq.Set(float64(inc.Seq()))
 	m.edges.Set(float64(inc.HM()))
-	m.dirty.Set(inc.DirtyFraction())
 }
 
 // DynamicOptions configures NewDynamic.
 type DynamicOptions struct {
-	// Spanner configures the incremental maintenance layer (seed,
-	// rebuild threshold).
+	// Spanner configures the incremental maintenance layer (seed).
 	Spanner spanner.IncrementalOptions
 	// Oracle configures the serving layer. Backend "auto" is tuned once,
 	// at startup — updates refresh the chosen backend, they never re-run
@@ -90,10 +84,6 @@ type UpdateResult struct {
 	// Applied is false for no-op updates (inserting a present edge,
 	// deleting an absent one); nothing changed.
 	Applied bool
-	// Rebuilt reports that spanner maintenance fell back to a full
-	// recompute under its dirty-fraction threshold (the result is
-	// identical either way — see spanner.Incremental).
-	Rebuilt bool
 	// M and HM are the base-graph and spanner edge counts after the
 	// update.
 	M, HM int
@@ -157,7 +147,6 @@ func (d *Dynamic) Update(u, v int32, add bool) (UpdateResult, error) {
 	}
 	res := UpdateResult{
 		Applied: applied,
-		Rebuilt: delta.Rebuilt,
 		M:       d.inc.Graph().M(),
 		HM:      d.inc.HM(),
 		Seq:     d.inc.Seq(),
@@ -168,11 +157,8 @@ func (d *Dynamic) Update(u, v int32, add bool) (UpdateResult, error) {
 	case !applied:
 		d.m.noop.Inc()
 		return res, nil
-	case delta.Rebuilt:
-		d.m.rebuilt.Inc()
-	default:
-		d.m.applied.Inc()
 	}
+	d.m.applied.Inc()
 	t1 := time.Now()
 	d.m.repair.Observe(t1.Sub(t0).Seconds())
 	if !delta.Empty() {

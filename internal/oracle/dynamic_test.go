@@ -25,7 +25,7 @@ func TestDynamicMatchesFreshOracle(t *testing.T) {
 	for _, name := range BackendNames() {
 		opts := Options{Backend: name, Seed: 42, SampleEvery: -1}
 		d, err := NewDynamic(base, DynamicOptions{
-			Spanner: spanner.IncrementalOptions{Seed: 0xfeed, RebuildThreshold: -1},
+			Spanner: spanner.IncrementalOptions{Seed: 0xfeed},
 			Oracle:  opts,
 		})
 		if err != nil {
@@ -135,40 +135,38 @@ func edgeDelta(old, cur []graph.Edge) spanner.Delta {
 
 // The exact table refreshed from each update's spanner delta equals a
 // freshly swept table after every step of a 200-update random
-// insert/delete sequence — with and without the full-recompute path.
+// insert/delete sequence.
 func TestExactRefreshFromDeltaMatchesFreshEveryStep(t *testing.T) {
-	for _, thr := range []float64{-1, 0.05} {
-		base := gen.ErdosRenyi(36, 0.12, rng.New(41))
-		inc := spanner.NewIncremental(base, spanner.IncrementalOptions{Seed: 99, RebuildThreshold: thr})
-		b := newExactBackend(inc.H().Snapshot(), 2, nil)
-		r := rng.New(43)
-		n := int32(base.N())
-		for step := 0; step < 200; step++ {
-			u, v := int32(r.Intn(int(n))), int32(r.Intn(int(n-1)))
-			if v >= u {
-				v++
-			}
-			var (
-				applied bool
-				d       spanner.Delta
-				err     error
-			)
-			if inc.Graph().HasEdge(u, v) {
-				applied, d, err = inc.Delete(u, v)
-			} else {
-				applied, d, err = inc.Insert(u, v)
-			}
-			if err != nil || !applied {
-				t.Fatalf("step %d: applied=%v err=%v", step, applied, err)
-			}
-			b.refresh(inc.H().Snapshot(), d)
-			want := newExactBackend(b.h, 1, nil)
-			for x := int32(0); x < n; x++ {
-				for y := x + 1; y < n; y++ {
-					if got, exp := b.tri.At(x, y), want.tri.At(x, y); got != exp {
-						t.Fatalf("threshold %v step %d (delta +%v -%v): tri(%d,%d) = %d, fresh sweep has %d",
-							thr, step, d.Added, d.Removed, x, y, got, exp)
-					}
+	base := gen.ErdosRenyi(36, 0.12, rng.New(41))
+	inc := spanner.NewIncremental(base, spanner.IncrementalOptions{Seed: 99})
+	b := newExactBackend(inc.H().Snapshot(), 2, nil)
+	r := rng.New(43)
+	n := int32(base.N())
+	for step := 0; step < 200; step++ {
+		u, v := int32(r.Intn(int(n))), int32(r.Intn(int(n-1)))
+		if v >= u {
+			v++
+		}
+		var (
+			applied bool
+			d       spanner.Delta
+			err     error
+		)
+		if inc.Graph().HasEdge(u, v) {
+			applied, d, err = inc.Delete(u, v)
+		} else {
+			applied, d, err = inc.Insert(u, v)
+		}
+		if err != nil || !applied {
+			t.Fatalf("step %d: applied=%v err=%v", step, applied, err)
+		}
+		b.refresh(inc.H().Snapshot(), d)
+		want := newExactBackend(b.h, 1, nil)
+		for x := int32(0); x < n; x++ {
+			for y := x + 1; y < n; y++ {
+				if got, exp := b.tri.At(x, y), want.tri.At(x, y); got != exp {
+					t.Fatalf("step %d (delta +%v -%v): tri(%d,%d) = %d, fresh sweep has %d",
+						step, d.Added, d.Removed, x, y, got, exp)
 				}
 			}
 		}
@@ -269,14 +267,13 @@ var timingValue = regexp.MustCompile(`^(oracle_update_latency_seconds_(bucket\{[
 
 // The update metrics' exposition is pinned by a golden file: family
 // names, help text, label values, bucket bounds, and every value that
-// does not depend on timing. The sequence exercises each outcome: local
-// repairs, no-ops (a present edge inserted, an absent one deleted) and a
-// full recompute (the 10% threshold trips on the second applied update
-// of a 16-edge cycle).
+// does not depend on timing. The sequence exercises both outcomes:
+// local repairs and no-ops (a present edge inserted, an absent one
+// deleted).
 func TestDynamicUpdateMetricsGolden(t *testing.T) {
 	reg := obs.NewRegistry()
 	d, err := NewDynamic(gen.Cycle(16), DynamicOptions{
-		Spanner: spanner.IncrementalOptions{Seed: 5, RebuildThreshold: 0.1},
+		Spanner: spanner.IncrementalOptions{Seed: 5},
 		Oracle:  Options{Backend: BackendExactCached, SampleEvery: -1, Registry: reg},
 	})
 	if err != nil {

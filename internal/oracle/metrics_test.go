@@ -9,8 +9,8 @@ import (
 )
 
 // TestPathCountersPartitionResolutions: every non-trivial resolution ends
-// in exactly one of cache-hit / landmark-fallback / bibfs, so the three
-// path counters sum to the cache lookup total.
+// in exactly one of cache-hit / bibfs, so the two path counters sum to
+// the cache lookup total.
 func TestPathCountersPartitionResolutions(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 5)
 	reg := obs.NewRegistry()
@@ -33,11 +33,10 @@ func TestPathCountersPartitionResolutions(t *testing.T) {
 	snap := reg.Snapshot()
 	key := func(name string) string { return backendKey(name, BackendLandmarkBiBFS) }
 	hit := snap.Counters[key(metricPathCacheHit)]
-	lm := snap.Counters[key(metricPathLandmark)]
 	bfs := snap.Counters[key(metricPathBiBFS)]
 	lookups := snap.Counters[key(metricCacheHits)] + snap.Counters[key(metricCacheMisses)]
-	if hit+lm+bfs != lookups {
-		t.Errorf("path counters %d+%d+%d != cache lookups %d", hit, lm, bfs, lookups)
+	if hit+bfs != lookups {
+		t.Errorf("path counters %d+%d != cache lookups %d", hit, bfs, lookups)
 	}
 	if bfs == 0 {
 		t.Error("no bibfs resolutions recorded")
@@ -47,8 +46,8 @@ func TestPathCountersPartitionResolutions(t *testing.T) {
 	}
 	// Every exact search observed its frontier.
 	fr := snap.Histograms[metricFrontierMax]
-	if fr.Count != lm+bfs {
-		t.Errorf("frontier observations %d != searches %d", fr.Count, lm+bfs)
+	if fr.Count != bfs {
+		t.Errorf("frontier observations %d != searches %d", fr.Count, bfs)
 	}
 	if fr.Max < 1 {
 		t.Errorf("frontier max %v < 1", fr.Max)

@@ -55,7 +55,6 @@ const (
 	metricCacheHits     = "oracle_cache_hits"
 	metricCacheMisses   = "oracle_cache_misses"
 	metricPathCacheHit  = "oracle_path_cache_hit"
-	metricPathLandmark  = "oracle_path_landmark"
 	metricPathBiBFS     = "oracle_path_bibfs"
 	metricPathBulk      = "oracle_path_bulk"
 	metricPathExact     = "oracle_path_exact"
@@ -108,12 +107,6 @@ type Options struct {
 	// the base graph and records the realized stretch; 0 means the default
 	// 64, negative disables sampling.
 	SampleEvery int
-	// MaxDist bounds the landmark-bibfs backend's exact bidirectional
-	// search depth: queries whose spanner distance exceeds it fall back
-	// to the landmark upper bound (Answer.Exact reports false, and the
-	// backend declares no stretch bound). Negative (the default 0 maps
-	// to -1) means unbounded — every answer is exact on H.
-	MaxDist int
 	// MemoryBudget caps the precomputed state of auto-tuned backends in
 	// bytes; candidates over it are skipped. 0 means the 128 MiB
 	// default; negative disables the gate. Ignored when Backend names a

@@ -44,7 +44,7 @@ func TestDistMatchesExactSpannerDistance(t *testing.T) {
 		}
 		want := h.Dist(u, v)
 		if !ans.Exact {
-			t.Fatalf("Dist(%d,%d) not exact with unbounded MaxDist", u, v)
+			t.Fatalf("Dist(%d,%d) not exact", u, v)
 		}
 		if ans.Dist != want {
 			t.Fatalf("Dist(%d,%d) = %d, want %d", u, v, ans.Dist, want)
@@ -212,37 +212,6 @@ func TestDisconnectedPair(t *testing.T) {
 	p, _, err := o.Route(0, 4)
 	if err != nil || p != nil {
 		t.Fatalf("Route across components: path=%v err=%v, want nil, nil", p, err)
-	}
-}
-
-func TestMaxDistFallsBackToBound(t *testing.T) {
-	// Path graph 0-1-2-...-19: landmark bound is loose away from roots.
-	b := graph.NewBuilder(20)
-	for i := int32(0); i < 19; i++ {
-		b.AddEdge(i, i+1)
-	}
-	g := b.MustBuild()
-	o, err := NewFromGraphs(g, g, 1, Options{Landmarks: 2, MaxDist: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := o.Dist(0, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ans.Exact {
-		t.Fatalf("distance 19 answered exactly under MaxDist=3: %+v", ans)
-	}
-	if ans.Dist != ans.Bound || ans.Dist < 19 {
-		t.Fatalf("fallback answer %d must equal the bound %d and dominate the true distance 19",
-			ans.Dist, ans.Bound)
-	}
-	near, err := o.Dist(4, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !near.Exact || near.Dist != 2 {
-		t.Fatalf("short query under MaxDist: got %+v, want exact 2", near)
 	}
 }
 

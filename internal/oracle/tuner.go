@@ -200,12 +200,8 @@ func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backe
 		if c.QueryNs > band {
 			continue
 		}
-		stretch := c.StretchBound
-		if stretch <= 0 {
-			stretch = int(^uint(0) >> 1) // undeclared: worse than any bound
-		}
-		if bestIdx < 0 || stretch < bestStretch {
-			bestIdx, bestStretch = i, stretch
+		if bestIdx < 0 || c.StretchBound < bestStretch {
+			bestIdx, bestStretch = i, c.StretchBound
 		}
 	}
 	best := built[bestIdx]

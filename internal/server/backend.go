@@ -53,9 +53,9 @@ type SnapshotStatser interface {
 
 // Updatable is the optional dynamic-graph surface: a Backend that also
 // implements it serves the "update"/"snapshot" text verbs and the
-// MsgUpdate/MsgSnap binary messages (wire v4). Backends without it
-// answer those requests with a protocol error — the server always
-// speaks v4, it just refuses mutations it has no engine for.
+// MsgUpdate/MsgSnap binary messages. Backends without it answer those
+// requests with a protocol error — the server always speaks the frames,
+// it just refuses mutations it has no engine for.
 type Updatable interface {
 	// Update applies one edge insert (add true) or delete to the live
 	// graph, maintaining the spanner and the serving state in place.

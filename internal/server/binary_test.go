@@ -138,7 +138,7 @@ func TestBinaryFrameCorruptionCloses(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	conn.Write(wire.AppendHello(nil, wire.VersionMin, wire.VersionMax))
+	conn.Write(wire.AppendHello(nil, wire.Version, wire.Version))
 	var reply [wire.HelloLen]byte
 	if _, err := io.ReadFull(conn, reply[:]); err != nil {
 		t.Fatalf("hello reply: %v", err)
@@ -158,29 +158,61 @@ func TestBinaryFrameCorruptionCloses(t *testing.T) {
 	}
 }
 
-// TestBinaryVersionRejected checks a client advertising only unknown
-// versions gets a version-0 reply.
+// TestBinaryVersionRejected checks the hello's version interval: a
+// client whose [min, max] excludes wire.Version gets a version-0 reply,
+// a close, and one error count; an interval that contains it (an older
+// client that also speaks the current version) is served.
 func TestBinaryVersionRejected(t *testing.T) {
 	srv := New(testOracle(t), Config{})
 	addr, _, _ := startTCP(t, srv)
 
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	hello := func(minV, maxV uint16) (net.Conn, uint16) {
+		t.Helper()
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		conn.Write(wire.AppendHello(nil, minV, maxV))
+		var reply [wire.HelloLen]byte
+		if _, err := io.ReadFull(conn, reply[:]); err != nil {
+			t.Fatalf("[%d,%d] hello reply: %v", minV, maxV, err)
+		}
+		v, err := wire.ParseHelloReply(reply[:])
+		if err != nil {
+			t.Fatalf("[%d,%d] ParseHelloReply: %v", minV, maxV, err)
+		}
+		return conn, v
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	conn.Write(wire.AppendHello(nil, 99, 120))
-	var reply [wire.HelloLen]byte
-	if _, err := io.ReadFull(conn, reply[:]); err != nil {
-		t.Fatalf("hello reply: %v", err)
+	for _, c := range []struct{ minV, maxV uint16 }{{2, 2}, {2, 3}, {5, 9}} {
+		errs := srv.Counter("errs")
+		conn, v := hello(c.minV, c.maxV)
+		if v != 0 {
+			t.Fatalf("[%d,%d] hello got version %d, want 0", c.minV, c.maxV, v)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Fatalf("[%d,%d] connection stayed open after a rejected hello", c.minV, c.maxV)
+		}
+		if got := srv.Counter("errs"); got != errs+1 {
+			t.Fatalf("[%d,%d] errs %d -> %d, want +1", c.minV, c.maxV, errs, got)
+		}
 	}
-	v, err := wire.ParseHelloReply(reply[:])
-	if err != nil {
-		t.Fatalf("ParseHelloReply: %v", err)
+
+	conn, v := hello(2, 4)
+	if v != wire.Version {
+		t.Fatalf("[2,4] hello got version %d, want %d", v, wire.Version)
 	}
-	if v != 0 {
-		t.Fatalf("negotiated version %d for a [99,120] client, want 0", v)
+	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.MsgDist, ID: 1,
+		Payload: wire.AppendQuery(nil, oracle.Query{U: 0, V: 1})}, 0); err != nil {
+		t.Fatalf("[2,4] write dist: %v", err)
+	}
+	f, err := wire.ReadFrame(conn, 0)
+	if err != nil || f.Type != wire.MsgDistR || f.ID != 1 {
+		t.Fatalf("[2,4] dist response = (%+v, %v), want MsgDistR id 1", f, err)
+	}
+	if a, err := wire.DecodeAnswer(f.Payload); err != nil || a.U != 0 || a.V != 1 {
+		t.Fatalf("[2,4] answer = (%+v, %v)", a, err)
 	}
 }
 

@@ -28,9 +28,8 @@
 //	update <u> <v> <add|del>
 //	               ->  applies one edge mutation to a live (dynamic)
 //	                   graph: update <u> <v> <op> = applied=<t|f>
-//	                   rebuilt=<t|f> m=<m> hm=<hm> seq=<seq>; backends
-//	                   without a dynamic engine answer
-//	                   "err updates not supported"
+//	                   m=<m> hm=<hm> seq=<seq>; backends without a
+//	                   dynamic engine answer "err updates not supported"
 //	snapshot [verify]
 //	               ->  snapshot n=<n> m=<m> hm=<hm> seq=<seq>
 //	                   ghash=<hex> hhash=<hex> verified=<t|f>
@@ -96,7 +95,7 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown: connections still open this
 	// long after the context is cancelled are force-closed.
 	DrainTimeout time.Duration
-	// MaxFrameBytes bounds one binary (wire v2) frame body. The zero value
+	// MaxFrameBytes bounds one binary (wire) frame body. The zero value
 	// picks the larger of wire.DefaultMaxFrameBytes and whatever a
 	// MaxBatch-sized batch frame needs, so the two limits can never
 	// disagree.

@@ -66,27 +66,13 @@ type Incremental struct {
 	// vertex; bumping stamp clears it in O(1).
 	seen  []uint32
 	stamp uint32
-
-	// Rebuild-threshold bookkeeping: dirty counts applied updates since
-	// the last full recompute; when dirty exceeds threshold·M the next
-	// update re-derives every cluster and W(v) instead of only the local
-	// ones. The result is identical either way (the construction is a
-	// pure function of the edge set), and local repair keeps no state
-	// that drifts, so a full recompute only costs an O(m) latency spike
-	// on the update that crosses the threshold; it never changes H.
-	threshold float64
-	dirty     int
-	rebuilds  uint64
 }
 
 // Delta is the net change one update made to the maintained spanner:
 // the edges that entered H and the edges that left it, each in
-// canonical form (U < V, sorted lexicographically). Rebuilt reports
-// that the update took the full-recompute path; the delta is the net
-// change either way.
+// canonical form (U < V, sorted lexicographically).
 type Delta struct {
 	Added, Removed []graph.Edge
-	Rebuilt        bool
 }
 
 // Empty reports whether the update left H unchanged.
@@ -97,33 +83,19 @@ type IncrementalOptions struct {
 	// Seed keys the center hash. Two Incrementals with equal seeds over
 	// equal edge sets hold identical spanners regardless of history.
 	Seed uint64
-	// RebuildThreshold is the dirty fraction (applied updates since the
-	// last full recompute, over the current edge count) above which an
-	// update triggers a full recompute instead of a local diff. 0 means
-	// the default 0.25; negative disables full recomputes entirely.
-	RebuildThreshold float64
 }
-
-// DefaultRebuildThreshold is the dirty fraction at which incremental
-// maintenance falls back to a full recompute when
-// IncrementalOptions.RebuildThreshold is zero.
-const DefaultRebuildThreshold = 0.25
 
 // NewIncremental builds the maintained spanner over a copy of base.
 func NewIncremental(base *graph.Graph, opts IncrementalOptions) *Incremental {
 	n := base.N()
 	inc := &Incremental{
-		dg:        graph.NewDynGraph(base),
-		seed:      opts.Seed,
-		n:         n,
-		isCenter:  make([]bool, n),
-		cluster:   make([]int32, n),
-		want:      make([][]int32, n),
-		seen:      make([]uint32, n),
-		threshold: opts.RebuildThreshold,
-	}
-	if inc.threshold == 0 {
-		inc.threshold = DefaultRebuildThreshold
+		dg:       graph.NewDynGraph(base),
+		seed:     opts.Seed,
+		n:        n,
+		isCenter: make([]bool, n),
+		cluster:  make([]int32, n),
+		want:     make([][]int32, n),
+		seen:     make([]uint32, n),
 	}
 	// Center coin: hash below the n^{-1/2} quantile of the uint64 range.
 	// Graph-independent by design — edge churn never moves a center.
@@ -162,19 +134,13 @@ func (inc *Incremental) H() *graph.DynGraph { return inc.h }
 // Seq returns the applied-update counter (delegates to the DynGraph).
 func (inc *Incremental) Seq() uint64 { return inc.dg.Seq() }
 
-// Rebuilds returns how many updates fell back to a full recompute under
-// the dirty-fraction threshold.
-func (inc *Incremental) Rebuilds() uint64 { return inc.rebuilds }
+// Rebuilds always returns 0: every update is repaired locally and no
+// update ever recomputes the spanner. It stays for callers that still
+// report the count.
+func (inc *Incremental) Rebuilds() uint64 { return 0 }
 
 // HM returns the current spanner edge count.
 func (inc *Incremental) HM() int { return inc.h.M() }
-
-// DirtyFraction is the share of applied updates since the last full
-// recompute in the current edge count; the next update recomputes fully
-// once it exceeds the rebuild threshold.
-func (inc *Incremental) DirtyFraction() float64 {
-	return float64(inc.dirty) / float64(max(inc.dg.M(), 1))
-}
 
 // clusterOf recomputes v's cluster from its current neighborhood: v
 // itself when v is a center, else the smallest-id center neighbor, else
@@ -249,13 +215,6 @@ func (inc *Incremental) update(u, v int32, add bool) (applied bool, delta Delta,
 	if err != nil || !applied {
 		return applied, Delta{}, err
 	}
-	inc.dirty++
-	if inc.threshold >= 0 && inc.DirtyFraction() > inc.threshold {
-		inc.rebuilds++
-		delta = inc.recompute()
-		delta.Rebuilt = true
-		return true, delta, nil
-	}
 
 	// Local maintenance: only the endpoints' clusters can move; their
 	// neighbors re-derive W only when the adjacent cluster value changed.
@@ -272,16 +231,15 @@ func (inc *Incremental) update(u, v int32, add bool) (applied bool, delta Delta,
 	return true, inc.reapply(slices.Compact(affected)), nil
 }
 
-// recompute re-derives every cluster and every W(v) from scratch and
-// brings H in line, resetting the dirty count.
-func (inc *Incremental) recompute() Delta {
+// recompute derives every cluster and every W(v) from scratch and
+// brings H in line — the construction, run once by NewIncremental.
+func (inc *Incremental) recompute() {
 	all := make([]int32, inc.n)
 	for v := range all {
 		all[v] = int32(v)
 		inc.cluster[v] = inc.clusterOf(int32(v))
 	}
-	inc.dirty = 0
-	return inc.reapply(all)
+	inc.reapply(all)
 }
 
 // reapply re-derives W(z) for each distinct vertex z in zs, then

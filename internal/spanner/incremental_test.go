@@ -33,7 +33,7 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 		"clique":    gen.Clique(14),
 	} {
 		const seed = 0xd1_5c0_c0de
-		inc := NewIncremental(base, IncrementalOptions{Seed: seed, RebuildThreshold: -1})
+		inc := NewIncremental(base, IncrementalOptions{Seed: seed})
 		r := rng.New(99)
 		n := int32(base.N())
 		for step := 0; step < 300; step++ {
@@ -54,7 +54,7 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 				continue
 			}
 			snap := inc.Graph().Snapshot()
-			fresh := NewIncremental(snap, IncrementalOptions{Seed: seed, RebuildThreshold: -1})
+			fresh := NewIncremental(snap, IncrementalOptions{Seed: seed})
 			if !edgesEqual(inc.Edges(), fresh.Edges()) {
 				t.Fatalf("%s step %d: incremental spanner (%d edges) != rebuilt (%d edges)",
 					name, step, inc.HM(), fresh.HM())
@@ -68,47 +68,6 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 					name, step, rep.Violations, IncrementalAlpha, rep.MaxStretch)
 			}
 		}
-	}
-}
-
-// The rebuild threshold is a performance fallback, never a semantic one:
-// a low threshold must trigger full recomputes and still produce the
-// same spanner as threshold-free local maintenance.
-func TestIncrementalRebuildThresholdSemanticsFree(t *testing.T) {
-	base := gen.ErdosRenyi(36, 0.12, rng.New(11))
-	const seed = 31337
-	eager := NewIncremental(base, IncrementalOptions{Seed: seed, RebuildThreshold: 0.02})
-	lazy := NewIncremental(base, IncrementalOptions{Seed: seed, RebuildThreshold: -1})
-	r := rng.New(5)
-	sawRebuild := false
-	for step := 0; step < 200; step++ {
-		u, v := int32(r.Intn(36)), int32(r.Intn(36))
-		if u == v {
-			continue
-		}
-		add := r.Bernoulli(0.5)
-		var d Delta
-		var err1, err2 error
-		if add {
-			_, d, err1 = eager.Insert(u, v)
-			_, _, err2 = lazy.Insert(u, v)
-		} else {
-			_, d, err1 = eager.Delete(u, v)
-			_, _, err2 = lazy.Delete(u, v)
-		}
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		sawRebuild = sawRebuild || d.Rebuilt
-		if !edgesEqual(eager.Edges(), lazy.Edges()) {
-			t.Fatalf("step %d: rebuild path diverged from local maintenance", step)
-		}
-	}
-	if !sawRebuild || eager.Rebuilds() == 0 {
-		t.Fatal("a 2% dirty threshold never triggered a full recompute over 200 updates")
-	}
-	if lazy.Rebuilds() != 0 {
-		t.Fatalf("threshold -1 recomputed %d times", lazy.Rebuilds())
 	}
 }
 
@@ -137,7 +96,7 @@ func TestIncrementalNoOpUpdates(t *testing.T) {
 // original spanner — deletions must fully unwind H.
 func TestIncrementalDeleteReinsertRoundTrip(t *testing.T) {
 	base := gen.ErdosRenyi(30, 0.15, rng.New(21))
-	inc := NewIncremental(base, IncrementalOptions{Seed: 77, RebuildThreshold: -1})
+	inc := NewIncremental(base, IncrementalOptions{Seed: 77})
 	want := inc.Edges()
 	edges := append([]graph.Edge(nil), base.Edges()...)
 	for _, e := range edges {
@@ -159,53 +118,48 @@ func TestIncrementalDeleteReinsertRoundTrip(t *testing.T) {
 }
 
 // The delta an update reports is exactly the diff of Edges() before and
-// after it — through local repairs, full recomputes (a 3% threshold
-// forces many) and no-ops, whose delta is empty — and Rebuilt flags
-// exactly the updates that advanced Rebuilds.
+// after it, through local repairs and no-ops, whose delta is empty.
 func TestIncrementalDeltaIsEdgeDiff(t *testing.T) {
-	for name, thr := range map[string]float64{"local": -1, "rebuilding": 0.03} {
-		base := gen.ErdosRenyi(34, 0.14, rng.New(17))
-		inc := NewIncremental(base, IncrementalOptions{Seed: 0xde17a, RebuildThreshold: thr})
-		r := rng.New(23)
-		sawRebuild, sawNoop, sawChange := false, false, false
-		for step := 0; step < 400; step++ {
-			u, v := int32(r.Intn(34)), int32(r.Intn(34))
-			if u == v {
-				continue
-			}
-			before, rebuilds := inc.Edges(), inc.Rebuilds()
-			var (
-				applied bool
-				d       Delta
-				err     error
-			)
-			if r.Bernoulli(0.5) {
-				applied, d, err = inc.Insert(u, v)
-			} else {
-				applied, d, err = inc.Delete(u, v)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			added, removed := graphtest.DiffEdges(before, inc.Edges())
-			if !edgesEqual(d.Added, added) || !edgesEqual(d.Removed, removed) {
-				t.Fatalf("%s step %d: delta +%v -%v, Edges() diff +%v -%v", name, step, d.Added, d.Removed, added, removed)
-			}
-			if d.Rebuilt != (inc.Rebuilds() != rebuilds) {
-				t.Fatalf("%s step %d: Rebuilt=%v but Rebuilds %d -> %d", name, step, d.Rebuilt, rebuilds, inc.Rebuilds())
-			}
-			if inc.HM() != len(inc.Edges()) {
-				t.Fatalf("%s step %d: HM=%d, Edges has %d", name, step, inc.HM(), len(inc.Edges()))
-			}
-			sawRebuild = sawRebuild || d.Rebuilt
-			sawNoop = sawNoop || !applied
-			sawChange = sawChange || !d.Empty()
-			if !applied && (!d.Empty() || d.Rebuilt) {
-				t.Fatalf("%s step %d: no-op reported delta %+v", name, step, d)
-			}
+	base := gen.ErdosRenyi(34, 0.14, rng.New(17))
+	inc := NewIncremental(base, IncrementalOptions{Seed: 0xde17a})
+	r := rng.New(23)
+	sawNoop, sawChange := false, false
+	for step := 0; step < 400; step++ {
+		u, v := int32(r.Intn(34)), int32(r.Intn(34))
+		if u == v {
+			continue
 		}
-		if !sawNoop || !sawChange || sawRebuild != (thr > 0) {
-			t.Fatalf("%s: coverage noop=%v change=%v rebuild=%v", name, sawNoop, sawChange, sawRebuild)
+		before := inc.Edges()
+		var (
+			applied bool
+			d       Delta
+			err     error
+		)
+		if r.Bernoulli(0.5) {
+			applied, d, err = inc.Insert(u, v)
+		} else {
+			applied, d, err = inc.Delete(u, v)
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		added, removed := graphtest.DiffEdges(before, inc.Edges())
+		if !edgesEqual(d.Added, added) || !edgesEqual(d.Removed, removed) {
+			t.Fatalf("step %d: delta +%v -%v, Edges() diff +%v -%v", step, d.Added, d.Removed, added, removed)
+		}
+		if inc.HM() != len(inc.Edges()) {
+			t.Fatalf("step %d: HM=%d, Edges has %d", step, inc.HM(), len(inc.Edges()))
+		}
+		if inc.Rebuilds() != 0 {
+			t.Fatalf("step %d: Rebuilds = %d, want 0", step, inc.Rebuilds())
+		}
+		sawNoop = sawNoop || !applied
+		sawChange = sawChange || !d.Empty()
+		if !applied && !d.Empty() {
+			t.Fatalf("step %d: no-op reported delta %+v", step, d)
+		}
+	}
+	if !sawNoop || !sawChange {
+		t.Fatalf("coverage noop=%v change=%v", sawNoop, sawChange)
 	}
 }

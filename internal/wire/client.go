@@ -20,12 +20,9 @@ type ClientOptions struct {
 	// response within it fails the whole connection (the id map cannot
 	// distinguish "slow" from "never") (default 30s).
 	RequestTimeout time.Duration
-	// MaxFrameBytes bounds received frame bodies (0 = DefaultMaxFrameBytes).
+	// MaxFrameBytes bounds sent and received frame bodies
+	// (0 = DefaultMaxFrameBytes).
 	MaxFrameBytes int
-	// MaxVersion caps the version the client advertises (0 = VersionMax).
-	// Pinning 2 yields a v2 connection against any server — the knob the
-	// cross-version interop tests and version-frozen deployments use.
-	MaxVersion uint16
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
@@ -38,22 +35,18 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	if o.MaxFrameBytes <= 0 {
 		o.MaxFrameBytes = DefaultMaxFrameBytes
 	}
-	if o.MaxVersion == 0 || o.MaxVersion > VersionMax {
-		o.MaxVersion = VersionMax
-	}
 	return o
 }
 
-// Client is one pipelined v2 connection, safe for concurrent use: any
+// Client is one pipelined connection, safe for concurrent use: any
 // number of goroutines may have requests in flight; a background reader
 // matches responses to callers by request id, so responses arriving out
 // of order resolve the right calls. A Client is single-use — after any
 // transport error it is dead (Healthy reports false, every call fails
 // fast) and the owner should redial.
 type Client struct {
-	conn    net.Conn
-	version uint16
-	opts    ClientOptions
+	conn net.Conn
+	opts ClientOptions
 
 	wmu sync.Mutex // serializes frame writes
 	bw  *bufio.Writer
@@ -87,7 +80,7 @@ func Dial(addr string, opts ClientOptions) (*Client, error) {
 func NewClient(conn net.Conn, opts ClientOptions) (*Client, error) {
 	opts = opts.withDefaults()
 	conn.SetDeadline(time.Now().Add(opts.DialTimeout))
-	if _, err := conn.Write(AppendHello(nil, VersionMin, opts.MaxVersion)); err != nil {
+	if _, err := conn.Write(AppendHello(nil, Version, Version)); err != nil {
 		return nil, fmt.Errorf("wire: hello: %w", err)
 	}
 	var reply [HelloLen]byte
@@ -98,13 +91,12 @@ func NewClient(conn net.Conn, opts ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version == 0 {
-		return nil, fmt.Errorf("wire: server rejected versions [%d, %d]", VersionMin, opts.MaxVersion)
+	if version != Version {
+		return nil, fmt.Errorf("wire: server answered version %d to a v%d hello", version, Version)
 	}
 	conn.SetDeadline(time.Time{})
 	c := &Client{
 		conn:    conn,
-		version: version,
 		opts:    opts,
 		bw:      bufio.NewWriterSize(conn, 16<<10),
 		pending: make(map[uint64]chan Frame),
@@ -112,9 +104,6 @@ func NewClient(conn net.Conn, opts ClientOptions) (*Client, error) {
 	go c.readLoop()
 	return c, nil
 }
-
-// Version returns the negotiated protocol version.
-func (c *Client) Version() uint16 { return c.version }
 
 // Healthy reports whether the connection is still usable.
 func (c *Client) Healthy() bool {
@@ -155,7 +144,7 @@ func (c *Client) fail(err error) {
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 16<<10)
 	for {
-		f, err := ReadFrameV(br, c.opts.MaxFrameBytes, c.version)
+		f, err := ReadFrame(br, c.opts.MaxFrameBytes)
 		if err != nil {
 			c.fail(fmt.Errorf("wire: read: %w", err))
 			c.conn.Close()
@@ -176,8 +165,12 @@ func (c *Client) readLoop() {
 }
 
 // roundTrip sends one request frame and waits for its response. tc is
-// the trace context to attach; it is silently dropped on v2 connections.
+// the trace context to attach. A request too big to frame fails before
+// it claims an id, leaving the connection and its other callers alone.
 func (c *Client) roundTrip(typ byte, payload []byte, tc TraceContext) (Frame, error) {
+	if err := checkFrameSize(len(payload), c.opts.MaxFrameBytes); err != nil {
+		return Frame{}, fmt.Errorf("wire: write: %w", err)
+	}
 	id := c.nextID.Add(1)
 	ch := make(chan Frame, 1)
 	c.mu.Lock()
@@ -194,7 +187,7 @@ func (c *Client) roundTrip(typ byte, payload []byte, tc TraceContext) (Frame, er
 
 	c.wmu.Lock()
 	c.conn.SetWriteDeadline(time.Now().Add(c.opts.RequestTimeout))
-	err := WriteFrameV(c.bw, Frame{Type: typ, ID: id, Trace: tc, Payload: payload}, c.opts.MaxFrameBytes, c.version)
+	err := WriteFrame(c.bw, Frame{Type: typ, ID: id, Trace: tc, Payload: payload}, c.opts.MaxFrameBytes)
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -249,8 +242,6 @@ func (c *Client) Dist(u, v int32) (oracle.Answer, error) {
 
 // DistTraced answers one distance query carrying a trace context and
 // returns the server's echoed context (resolution path, sampled bit).
-// On a v2 connection the context is dropped and the returned context is
-// zero.
 func (c *Client) DistTraced(u, v int32, tc TraceContext) (oracle.Answer, TraceContext, error) {
 	f, err := c.roundTrip(MsgDist, AppendQuery(nil, oracle.Query{U: u, V: v}), tc)
 	if err != nil {
@@ -290,23 +281,10 @@ func (c *Client) BatchTraced(qs []oracle.Query, tc TraceContext) ([]oracle.Answe
 	return as, f.Trace, nil
 }
 
-// requireV4 gates the dynamic-graph calls on the negotiated version: a
-// pre-v4 peer would answer the unknown frame type with MsgErr at best,
-// so the client fails fast without spending a round trip.
-func (c *Client) requireV4(call string) error {
-	if c.version >= 4 {
-		return nil
-	}
-	return fmt.Errorf("wire: %s requires protocol version >= 4 (negotiated %d)", call, c.version)
-}
-
 // Update applies one edge mutation (insert when add, delete otherwise)
-// to the server's live graph. Requires a v4 connection; servers without
-// a dynamic engine answer a RemoteError.
+// to the server's live graph. Servers without a dynamic engine answer a
+// RemoteError.
 func (c *Client) Update(u, v int32, add bool) (oracle.UpdateResult, error) {
-	if err := c.requireV4("update"); err != nil {
-		return oracle.UpdateResult{}, err
-	}
 	f, err := c.roundTrip(MsgUpdate, AppendUpdateReq(nil, u, v, add), TraceContext{})
 	if err != nil {
 		return oracle.UpdateResult{}, err
@@ -319,11 +297,9 @@ func (c *Client) Update(u, v int32, add bool) (oracle.UpdateResult, error) {
 
 // Snap fetches the server's dynamic-graph state snapshot; with verify
 // set the server also rebuilds its spanner from scratch and reports
-// whether the maintained one matches. Requires a v4 connection.
+// whether the maintained one matches. Servers without a dynamic engine
+// answer a RemoteError.
 func (c *Client) Snap(verify bool) (oracle.SnapshotInfo, error) {
-	if err := c.requireV4("snapshot"); err != nil {
-		return oracle.SnapshotInfo{}, err
-	}
 	f, err := c.roundTrip(MsgSnap, AppendSnapReq(nil, verify), TraceContext{})
 	if err != nil {
 		return oracle.SnapshotInfo{}, err

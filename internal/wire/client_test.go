@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -17,12 +18,6 @@ import (
 // (nil return = drop the request silently). Responses go out as fn
 // returns, which lets tests answer out of order.
 func stubServer(t *testing.T, fn func(f Frame) *Frame) (addr string) {
-	return stubServerV(t, VersionMin, VersionMax, fn)
-}
-
-// stubServerV is stubServer with an explicit served version range — the
-// cross-version matrix tests pin sMax to 2 to emulate an old fleet.
-func stubServerV(t *testing.T, sMin, sMax uint16, fn func(f Frame) *Frame) (addr string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,19 +34,15 @@ func stubServerV(t *testing.T, sMin, sMax uint16, fn func(f Frame) *Frame) (addr
 		if _, err := io.ReadFull(conn, hello); err != nil {
 			return
 		}
-		cMin, cMax, err := ParseHello(hello)
-		if err != nil {
+		if cMin, cMax, err := ParseHello(hello); err != nil || cMin > Version || cMax < Version {
+			conn.Write(AppendHelloReply(nil, 0))
 			return
 		}
-		v, _ := Negotiate(cMin, cMax, sMin, sMax)
-		conn.Write(AppendHelloReply(nil, v))
-		if v == 0 {
-			return
-		}
+		conn.Write(AppendHelloReply(nil, Version))
 		br := bufio.NewReader(conn)
 		var wmu sync.Mutex
 		for {
-			f, err := ReadFrameV(br, DefaultMaxFrameBytes, v)
+			f, err := ReadFrame(br, DefaultMaxFrameBytes)
 			if err != nil {
 				return
 			}
@@ -59,7 +50,7 @@ func stubServerV(t *testing.T, sMin, sMax uint16, fn func(f Frame) *Frame) (addr
 				if resp := fn(f); resp != nil {
 					wmu.Lock()
 					defer wmu.Unlock()
-					WriteFrameV(conn, *resp, DefaultMaxFrameBytes, v)
+					WriteFrame(conn, *resp, DefaultMaxFrameBytes)
 				}
 			}(f)
 		}
@@ -90,9 +81,6 @@ func TestClientPipelinesOutOfOrder(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	if c.Version() != VersionMax {
-		t.Fatalf("negotiated version %d, want %d", c.Version(), VersionMax)
-	}
 
 	type result struct {
 		a   oracle.Answer
@@ -167,6 +155,55 @@ func TestClientRemoteError(t *testing.T) {
 	}
 	if !c.Healthy() {
 		t.Fatal("a remote error must not kill the connection")
+	}
+}
+
+// A request too big to frame is refused locally before it claims an id:
+// the error reaches only its caller, a request already in flight on the
+// same connection still gets its answer, and later requests still work.
+func TestClientOversizeRequestKeepsConnection(t *testing.T) {
+	received := make(chan struct{}, 1)
+	release := make(chan struct{})
+	addr := stubServer(t, func(f Frame) *Frame {
+		q, err := DecodeQuery(f.Payload)
+		if err != nil {
+			return &Frame{Type: MsgErr, ID: f.ID, Payload: []byte(err.Error())}
+		}
+		if q.U == 1 { // the in-flight request waits for the oversize one
+			received <- struct{}{}
+			<-release
+		}
+		return &Frame{Type: MsgDistR, ID: f.ID,
+			Payload: AppendAnswer(nil, oracle.Answer{U: q.U, V: q.V, Dist: q.U + q.V, Exact: true})}
+	})
+	c, err := Dial(addr, ClientOptions{RequestTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	inflight := make(chan error, 1)
+	go func() {
+		a, err := c.Dist(1, 2)
+		if err == nil && a.Dist != 3 {
+			err = fmt.Errorf("in-flight Dist = %d, want 3", a.Dist)
+		}
+		inflight <- err
+	}()
+	<-received
+
+	// 140,000 queries are a 1.12 MB payload against the 1 MiB limit.
+	if _, err := c.Batch(make([]oracle.Query, 140000)); !errors.Is(err, ErrFrameTooBig) {
+		t.Fatalf("oversize Batch error = %v, want ErrFrameTooBig", err)
+	}
+	close(release)
+	if err := <-inflight; err != nil {
+		t.Fatalf("in-flight request failed with the oversize one: %v", err)
+	}
+	if !c.Healthy() {
+		t.Fatal("a locally refused request killed the connection")
+	}
+	if a, err := c.Dist(4, 5); err != nil || a.Dist != 9 {
+		t.Fatalf("Dist after the oversize Batch = (%+v, %v), want dist 9", a, err)
 	}
 }
 

@@ -7,33 +7,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/oracle"
 )
-
-func TestNegotiate(t *testing.T) {
-	cases := []struct {
-		cMin, cMax, sMin, sMax uint16
-		want                   uint16
-		ok                     bool
-	}{
-		{2, 2, 2, 2, 2, true},
-		{2, 3, 2, 2, 2, true},  // client newer, server caps
-		{2, 2, 2, 5, 2, true},  // server newer, client caps
-		{3, 7, 2, 4, 4, true},  // overlap picks the highest common
-		{3, 3, 4, 9, 0, false}, // disjoint (client too old)
-		{5, 9, 2, 4, 0, false}, // disjoint (server too old)
-		{4, 2, 2, 9, 0, false}, // empty client interval
-		{2, 9, 2, 9, 9, true},
-	}
-	for _, c := range cases {
-		got, ok := Negotiate(c.cMin, c.cMax, c.sMin, c.sMax)
-		if got != c.want || ok != c.ok {
-			t.Errorf("Negotiate(%d,%d,%d,%d) = (%d,%v), want (%d,%v)",
-				c.cMin, c.cMax, c.sMin, c.sMax, got, ok, c.want, c.ok)
-		}
-	}
-}
 
 func TestHelloRoundTrip(t *testing.T) {
 	b := AppendHello(nil, 2, 7)
@@ -94,13 +71,35 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameV3RoundTrip pins the trace context, which every frame has
+// carried since protocol version 3: id and flags survive the round trip.
+func TestFrameV3RoundTrip(t *testing.T) {
+	want := Frame{
+		Type:    MsgBatch,
+		ID:      42,
+		Trace:   TraceContext{ID: 0x0123456789abcdef, Flags: TraceFlagSampled},
+		Payload: []byte{1, 2, 3, 4},
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, want, 0); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
+	}
+	got, err := ReadFrame(&buf, 0)
+	if err != nil {
+		t.Fatalf("ReadFrame: %v", err)
+	}
+	if got.Type != want.Type || got.ID != want.ID || got.Trace != want.Trace || !bytes.Equal(got.Payload, want.Payload) {
+		t.Fatalf("round trip = %+v, want %+v", got, want)
+	}
+}
+
 func TestFrameLimits(t *testing.T) {
 	// Oversized length prefix: rejected after 4 bytes, before allocation.
 	huge := binary.BigEndian.AppendUint32(nil, 1<<31)
 	if _, err := ReadFrame(bytes.NewReader(huge), 1024); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversized frame error = %v, want ErrFrameTooBig", err)
 	}
-	// Undersized length prefix (body can't hold type+id).
+	// Undersized length prefix (body can't hold type+id+trace).
 	tiny := binary.BigEndian.AppendUint32(nil, 3)
 	if _, err := ReadFrame(bytes.NewReader(tiny), 1024); !errors.Is(err, ErrShortFrame) {
 		t.Fatalf("short frame error = %v, want ErrShortFrame", err)
@@ -170,5 +169,66 @@ func TestInfoCodec(t *testing.T) {
 	}
 	if _, err := DecodeInfo([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short info accepted")
+	}
+}
+
+func TestTraceContextFlags(t *testing.T) {
+	tc := ResponseContext(9, true, 0xA)
+	if !tc.Sampled() || tc.PathMask() != 0xA || tc.ID != 9 {
+		t.Fatalf("ResponseContext = %+v (sampled=%v mask=%#x)", tc, tc.Sampled(), tc.PathMask())
+	}
+	tc = ResponseContext(9, false, 0x1)
+	if tc.Sampled() {
+		t.Fatal("unsampled response context reports sampled")
+	}
+	if tc.PathMask() != 0x1 {
+		t.Fatalf("mask = %#x, want 0x1", tc.PathMask())
+	}
+	// Masks wider than six bits must not bleed into other flag bits.
+	tc = ResponseContext(9, false, 0xFF)
+	if tc.PathMask() != 0x3F {
+		t.Fatalf("wide mask = %#x, want clamp to 0x3F", tc.PathMask())
+	}
+	if tc.Sampled() {
+		t.Fatal("wide mask leaked into the sampled bit")
+	}
+}
+
+func TestUpdateSnapRoundTrip(t *testing.T) {
+	wantRes := oracle.UpdateResult{Applied: true, M: 123, HM: 77, Seq: 42}
+	wantInfo := oracle.SnapshotInfo{
+		N: 64, M: 123, HM: 77, Seq: 42,
+		GraphHash: 0x0123456789abcdef, SpannerHash: 0xfedcba9876543210,
+		Verified: true, Consistent: true,
+	}
+	addr := stubServer(t, func(f Frame) *Frame {
+		switch f.Type {
+		case MsgUpdate:
+			u, v, add, err := DecodeUpdateReq(f.Payload)
+			if err != nil || u != 3 || v != 9 || add {
+				return &Frame{Type: MsgErr, ID: f.ID, Payload: []byte("bad update req")}
+			}
+			return &Frame{Type: MsgUpdateR, ID: f.ID, Payload: AppendUpdateResult(nil, wantRes)}
+		case MsgSnap:
+			verify, err := DecodeSnapReq(f.Payload)
+			if err != nil || !verify {
+				return &Frame{Type: MsgErr, ID: f.ID, Payload: []byte("bad snap req")}
+			}
+			return &Frame{Type: MsgSnapR, ID: f.ID, Payload: AppendSnapshotInfo(nil, wantInfo)}
+		}
+		return &Frame{Type: MsgErr, ID: f.ID, Payload: []byte("unexpected type")}
+	})
+	c, err := Dial(addr, ClientOptions{RequestTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	res, err := c.Update(3, 9, false)
+	if err != nil || res != wantRes {
+		t.Fatalf("Update = (%+v, %v), want %+v", res, err, wantRes)
+	}
+	info, err := c.Snap(true)
+	if err != nil || info != wantInfo {
+		t.Fatalf("Snap = (%+v, %v), want %+v", info, err, wantInfo)
 	}
 }

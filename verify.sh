@@ -53,11 +53,11 @@ UNDOC=$(awk '
     END { exit bad }' $(ls internal/oracle/*.go | grep -v _test)) \
     || { echo "undocumented exported oracle symbols:"; echo "$UNDOC"; exit 1; }
 
-echo "== wire v2/v3/v4 cross-version matrix (negotiation, trace-context downgrade, update/snapshot gating)"
-go test -race -count=1 -run 'CrossVersion|FrameV3|TraceContext|TraceV2Dropped|BinaryTrace|UpdateSnap|BinaryUpdate|BinaryStatic|BinaryConcurrent' \
+echo "== wire handshake, trace context and update frames (version interval, trace echo, update/snapshot)"
+go test -race -count=1 -run 'VersionRejected|FrameV3|TraceContext|OversizeRequest|BinaryTrace|UpdateSnap|BinaryUpdate|BinaryStatic|BinaryConcurrent' \
     ./internal/wire/ ./internal/server/
 
-echo "== fuzz smoke (line protocol + wire frames v2+v3 + graphio reader, 5s each)"
+echo "== fuzz smoke (line protocol + wire frames + graphio reader, 5s each)"
 go test -run '^$' -fuzz '^FuzzServerProtocol$' -fuzztime 5s ./internal/check/
 go test -run '^$' -fuzz '^FuzzWireFrame$' -fuzztime 5s ./internal/check/
 go test -run '^$' -fuzz '^FuzzGraphioRead$' -fuzztime 5s ./internal/check/
