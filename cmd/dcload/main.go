@@ -44,6 +44,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
@@ -162,15 +163,13 @@ func main() {
 	}
 
 	start := time.Now()
-	var wg sync.WaitGroup
+	var wg group
 	if updConn != nil {
 		// Paced updater. Endpoints are uniform (not Zipf): skewed
 		// mutations would make the server's end state depend on the
 		// query-skew knob. Self-pairs are skipped, not redrawn, so the
 		// mutation sequence stays aligned with the tick count.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		wg.Go(func() {
 			r := rng.New(*seed ^ 0xa5a5c3c3d1d1b7b7)
 			interval := time.Duration(float64(time.Second) / *updRate)
 			next := time.Now()
@@ -194,14 +193,12 @@ func main() {
 					updApplied.Add(1)
 				}
 			}
-		}()
+		})
 	}
 	if *rate <= 0 {
 		// Closed loop: each connection back to back.
 		for i, c := range clients {
-			wg.Add(1)
-			go func(i int, c *wire.Client) {
-				defer wg.Done()
+			wg.Go(func() {
 				r := rng.New(*seed + uint64(i)*0x9e3779b97f4a7c15)
 				for time.Now().Before(deadline) {
 					if !c.Healthy() {
@@ -209,15 +206,13 @@ func main() {
 					}
 					run(c, r, time.Now())
 				}
-			}(i, c)
+			})
 		}
 	} else {
 		// Open loop: a pacer hands intended-start ticks to the pool.
 		interval := time.Duration(float64(time.Second) / *rate)
 		ticks := make(chan time.Time, 4**conns)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		wg.Go(func() {
 			defer close(ticks)
 			next := time.Now()
 			for next.Before(deadline) {
@@ -234,11 +229,9 @@ func main() {
 				}
 				next = next.Add(interval)
 			}
-		}()
+		})
 		for i, c := range clients {
-			wg.Add(1)
-			go func(i int, c *wire.Client) {
-				defer wg.Done()
+			wg.Go(func() {
 				r := rng.New(*seed + uint64(i)*0x9e3779b97f4a7c15)
 				for t0 := range ticks {
 					if !c.Healthy() {
@@ -246,7 +239,7 @@ func main() {
 					}
 					run(c, r, t0)
 				}
-			}(i, c)
+			})
 		}
 	}
 	wg.Wait()
@@ -291,6 +284,31 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dcload: error rate %.1f%% exceeds 1%%\n", 100*float64(e)/float64(n+e))
 		os.Exit(1)
 	}
+}
+
+// group runs the load generator's goroutines (updater, pacer, load
+// workers) under one graph.PanicRelay: Wait blocks until all of them have
+// returned and then re-raises the first panic on the caller with the
+// panicking goroutine's stack, the same contract as the worker pool.
+type group struct {
+	wg    sync.WaitGroup
+	relay graph.PanicRelay
+}
+
+// Go starts fn on its own goroutine.
+func (g *group) Go(fn func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer g.relay.Catch()
+		fn()
+	}()
+}
+
+// Wait waits for every started goroutine, then re-raises the first panic.
+func (g *group) Wait() {
+	g.wg.Wait()
+	g.relay.Reraise()
 }
 
 func ms(sec float64) string {

@@ -50,6 +50,24 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestCensusDifferentialAcrossWorkerCounts runs Algorithm 1's kernel
+// differential (census == IsSupported at workers 1, 2 and 8; the ≤3-hop
+// test == a depth-3 BFS) on every family at full size. verify.sh runs it
+// under the race detector with the other worker-count tests.
+func TestCensusDifferentialAcrossWorkerCounts(t *testing.T) {
+	rep := &Report{}
+	for _, f := range Families() {
+		g := f.Build(rng.New(familySeed(DefaultSeed, f.Name)), false)
+		checkCensus(rep, f.Name, g, Options{Seed: DefaultSeed})
+	}
+	for _, d := range rep.Divergences {
+		t.Errorf("divergence: %s", d)
+	}
+	if rep.Checks == 0 {
+		t.Error("census differential evaluated zero checks")
+	}
+}
+
 func TestRunUnknownFamily(t *testing.T) {
 	if _, err := Run(Options{Families: []string{"no-such-family"}}); err == nil {
 		t.Fatal("unknown family accepted")

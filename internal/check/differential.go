@@ -155,6 +155,7 @@ func runFamily(rep *Report, f Family, opts Options) {
 	}
 
 	checkBFSKernels(rep, f.Name, g, opts, r.Split())
+	checkCensus(rep, f.Name, g, opts)
 	checkDynamic(rep, f.Name, g, opts, r.Split())
 }
 

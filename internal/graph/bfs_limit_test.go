@@ -104,3 +104,34 @@ func TestPathWithinUnlimitedReconstruction(t *testing.T) {
 		t.Fatalf("disconnected: path %v, want nil", got)
 	}
 }
+
+// WithinThreeHops must agree with the depth-3 BFS it replaces on every
+// ordered pair, u == v included, on graphs where every distance from 0 to
+// beyond 3 (and unreachable) occurs: a long path, a cycle, a star, and a
+// graph of two components.
+func TestWithinThreeHopsMatchesDistWithin(t *testing.T) {
+	path := NewBuilder(12)
+	cycle := NewBuilder(9)
+	for i := int32(0); i < 11; i++ {
+		path.AddEdge(i, i+1)
+	}
+	for i := int32(0); i < 9; i++ {
+		cycle.AddEdge(i, (i+1)%9)
+	}
+	split := NewBuilder(8)
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 5}, {5, 6}, {6, 7}} {
+		split.AddEdge(e[0], e[1])
+	}
+	for _, g := range []*Graph{path.MustBuild(), cycle.MustBuild(), starGraph(7), split.MustBuild()} {
+		s := NewBFSScratch(g.N())
+		n := int32(g.N())
+		for u := int32(0); u < n; u++ {
+			for v := int32(0); v < n; v++ {
+				want := s.DistWithin(g, u, v, 3) != Unreachable
+				if got := s.WithinThreeHops(g, u, v); got != want {
+					t.Fatalf("%v (%d,%d): WithinThreeHops=%v, DistWithin(3) reachable=%v", g, u, v, got, want)
+				}
+			}
+		}
+	}
+}

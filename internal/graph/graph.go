@@ -4,9 +4,8 @@
 // Graphs are stored in a compact CSR-like layout: a single []int32 neighbor
 // arena plus per-vertex offsets, with each adjacency list sorted so that
 // HasEdge is a binary search and set operations over neighborhoods (common
-// neighbor counting, the hot loop of Algorithm 1's supported-edge census)
-// are linear merges. Graphs are immutable after construction; builders and
-// filters produce new graphs.
+// neighbor counting, 3-detour middles) are linear merges. Graphs are
+// immutable after construction; builders and filters produce new graphs.
 //
 // Vertex ids are dense ints in [0, N). Edges are unordered pairs; the Edges
 // slice lists each edge once with U < V.
@@ -19,14 +18,13 @@
 // ParallelBFSFrom / ParallelBFSSweep for scalar multi-source BFS with
 // per-worker reusable scratch, BitBFS and its BitParallelBFS* drivers
 // advancing 64 sources per adjacency walk into row-major FlatDist tables,
-// the adaptive MultiSourceBFSFrom / MultiSourceBFSSweep dispatchers that
-// pick between the two by graph density alone, and ParallelForEachEdge
-// for per-edge work. All of them honor one determinism contract — for a
-// fixed input, results are identical for every worker count — which is
-// what lets the experiment harness (internal/experiments), spanner
-// validation (internal/spanner), and congestion accounting
-// (internal/routing) parallelize without perturbing reported numbers. See
-// DESIGN.md §9 and §12.
+// and the adaptive MultiSourceBFSFrom / MultiSourceBFSSweep dispatchers
+// that pick between the two by graph density alone. All of them honor
+// one determinism contract — for a fixed input, results are identical
+// for every worker count — which is what lets the experiment harness
+// (internal/experiments), spanner validation (internal/spanner), and
+// congestion accounting (internal/routing) parallelize without
+// perturbing reported numbers. See DESIGN.md §9 and §12.
 package graph
 
 import (
@@ -145,8 +143,12 @@ func (g *Graph) IsRegular() (int, bool) {
 	return d, true
 }
 
-// CommonNeighbors counts |N(u) ∩ N(v)| by merging the two sorted lists.
-// This is the inner kernel of the supported-edge census (Section 4).
+// CommonNeighbors counts |N(u) ∩ N(v)| by merging the two sorted lists,
+// O(deg u + deg v) per pair. It is the building block of the scalar
+// (a, b)-support definition (spanner.ExtensionSupport), which the
+// supported-edge census is checked against; the census itself does not
+// call it, since one two-hop walk yields |N(u) ∩ N(z)| for every z at
+// once.
 func (g *Graph) CommonNeighbors(u, v int32) int {
 	a, b := g.Neighbors(u), g.Neighbors(v)
 	count, i, j := 0, 0, 0

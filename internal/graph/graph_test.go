@@ -393,19 +393,6 @@ func randomGraph(r *rng.RNG, n, m int) *Graph {
 	return b.BuildDedup()
 }
 
-func TestParallelForEachEdge(t *testing.T) {
-	g := complete(t, 12)
-	seen := make([]int32, g.M())
-	g.ParallelForEachEdge(func(i int, e Edge) {
-		seen[i] = e.U + e.V
-	})
-	for i, e := range g.Edges() {
-		if seen[i] != e.U+e.V {
-			t.Fatalf("edge %d not processed correctly", i)
-		}
-	}
-}
-
 // Property: HasEdge agrees with a brute-force adjacency map on random graphs.
 func TestPropertyHasEdgeAgainstMap(t *testing.T) {
 	check := func(seed uint64) bool {

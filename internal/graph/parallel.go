@@ -130,18 +130,6 @@ func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
 }
 
-// ParallelForEachEdge invokes fn(i, e) for every edge index i on the
-// worker pool. fn must not mutate shared state without its own
-// synchronization; the idiomatic pattern is writing to out[i].
-func (g *Graph) ParallelForEachEdge(fn func(i int, e Edge)) {
-	edges := g.edges
-	ParallelRangeWorkers(len(edges), 0, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i, edges[i])
-		}
-	})
-}
-
 // BFSScratch holds reusable per-worker BFS state so bulk multi-source
 // distance computations do not reallocate O(n) slices per source.
 type BFSScratch struct {
@@ -161,19 +149,56 @@ func NewBFSScratch(n int) *BFSScratch {
 	}
 }
 
+// nextGen starts a new stamp generation, invalidating every stamp of the
+// previous search in O(1) (O(n) once per 2³² searches, on wrap).
+func (s *BFSScratch) nextGen() {
+	s.gen++
+	if s.gen == 0 {
+		for i := range s.stamp {
+			s.stamp[i] = 0
+		}
+		s.gen = 1
+	}
+}
+
+// WithinThreeHops reports whether dist_g(u, v) <= 3, exactly as
+// DistWithin(g, u, v, 3) != Unreachable does, without a BFS: it stamps
+// N(v), then looks for v itself or a stamped vertex among N(u) (distance
+// 1 or 2) and for a stamped vertex among N(x), x ∈ N(u) (distance 3).
+// That is O(deg(v) + Σ_{x∈N(u)} deg(x)) per call, against a BFS that
+// enumerates the whole radius-2 ball around u. It is the 3-detour
+// existence test of Algorithm 1's reinsertion phase.
+func (s *BFSScratch) WithinThreeHops(g *Graph, u, v int32) bool {
+	if u == v {
+		return true
+	}
+	s.nextGen()
+	for _, y := range g.Neighbors(v) {
+		s.stamp[y] = s.gen
+	}
+	nu := g.Neighbors(u)
+	for _, x := range nu {
+		if x == v || s.stamp[x] == s.gen {
+			return true
+		}
+	}
+	for _, x := range nu {
+		for _, y := range g.Neighbors(x) {
+			if s.stamp[y] == s.gen {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // DistWithin is g.DistWithin using the scratch space (no allocation after
 // warm-up). limit < 0 means unlimited.
 func (s *BFSScratch) DistWithin(g *Graph, u, v, limit int32) int32 {
 	if u == v {
 		return 0
 	}
-	s.gen++
-	if s.gen == 0 { // wrapped; reset stamps
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
+	s.nextGen()
 	s.queue = s.queue[:0]
 	s.queue = append(s.queue, u)
 	s.dist[u] = 0
@@ -209,13 +234,7 @@ func (s *BFSScratch) PathWithin(g *Graph, u, v, limit int32, parent []int32) []i
 	if u == v {
 		return []int32{u}
 	}
-	s.gen++
-	if s.gen == 0 {
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.gen = 1
-	}
+	s.nextGen()
 	s.queue = s.queue[:0]
 	s.queue = append(s.queue, u)
 	s.dist[u] = 0

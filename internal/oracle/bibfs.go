@@ -29,8 +29,10 @@ func newBiScratch(n int) *biScratch {
 // distance returns the exact hop distance between u ≠ v on h via
 // level-synchronized bidirectional BFS.
 //
-// ub, when not graph.Unreachable, is a known upper bound on the true
-// distance and only affects work, never the answer.
+// ub, when not graph.Unreachable, must be the length of some u–v walk in
+// h (the landmark bound d(u,l)+d(l,v) is one). It seeds best, so the
+// search stops as soon as its radii prove nothing shorter exists; it
+// affects work, never the answer.
 //
 // Correctness of the stopping rule: after fully expanding a levels from u
 // and b levels from v, every vertex within those radii is settled with its
@@ -38,7 +40,8 @@ func newBiScratch(n int) *biScratch {
 // d(u,m) <= a and d(m,v) <= b, so m is settled by both sides and the
 // candidate d(u,m)+d(m,v) <= L was recorded when the second side settled
 // it. Hence once best <= a+b+1 no shorter path can remain undiscovered and
-// best is exact.
+// best is exact. The argument needs only that best is the length of a
+// real walk, recorded or not, which a realized upper bound is.
 func (s *biScratch) distance(h *graph.Graph, u, v, ub int32) int32 {
 	s.gen++
 	if s.gen == 0 { // stamp wrap: invalidate everything once per 2^31 queries
@@ -54,9 +57,8 @@ func (s *biScratch) distance(h *graph.Graph, u, v, ub int32) int32 {
 	s.du[u], s.su[u] = 0, gen
 	s.dv[v], s.sv[v] = 0, gen
 	var depthU, depthV int32
-	best := graph.Unreachable
+	best := ub
 	s.maxFrontier = 1
-	_ = ub // the stopping rule already bounds work by 2·dist; ub kept for the API contract
 
 	for len(s.qu) > 0 && len(s.qv) > 0 {
 		if best != graph.Unreachable && depthU+depthV >= best-1 {

@@ -61,6 +61,44 @@ func TestRegularDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// The codegree-row census must equal the scalar per-edge definition
+// IsSupported at every worker count: on a small dense graph where almost
+// every edge is supported, on a larger one at thresholds where both
+// outcomes occur (a near the median codegree, b near the median extension
+// count), and at the extremes b = 0 (every edge) and b > Δ (no edge).
+func TestSupportedEdgesMatchesScalarAcrossWorkerCounts(t *testing.T) {
+	small := gen.MustRandomRegular(60, 12, rng.New(1))
+	mid := gen.MustRandomRegular(160, 36, rng.New(3))
+	cases := []struct {
+		g    *graph.Graph
+		a, b int
+	}{
+		{small, 2, 4},
+		{mid, 7, 26}, {mid, 7, 28}, {mid, 8, 20}, {mid, 8, 22},
+		{mid, 3, 0}, {mid, 1, 37},
+	}
+	for _, c := range cases {
+		ref := make([]bool, c.g.M())
+		supported := 0
+		for i, e := range c.g.Edges() {
+			ref[i] = IsSupported(c.g, e, c.a, c.b)
+			if ref[i] {
+				supported++
+			}
+		}
+		t.Logf("%v a=%d b=%d: %d of %d edges supported", c.g, c.a, c.b, supported, c.g.M())
+		for _, workers := range []int{1, 2, 8} {
+			got := SupportedEdgesWorkers(c.g, c.a, c.b, workers)
+			for i, e := range c.g.Edges() {
+				if got[i] != ref[i] {
+					t.Fatalf("%v a=%d b=%d workers=%d: edge %v census %v, IsSupported %v",
+						c.g, c.a, c.b, workers, e, got[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
 // The verification kernels promise byte-identical reports for every
 // Workers value (ISSUE 4's determinism contract, DESIGN.md §9): the pair
 // sample is drawn serially without replacement before the sweep, and each

@@ -16,6 +16,8 @@
 package spanner
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
@@ -25,6 +27,9 @@ import (
 // that the base {u, z} is (a+1)-supported, i.e. u and z have at least a+1
 // common neighbors (v itself being one of them). This is the quantity "b"
 // in the paper's (a, b)-supported definition (Section 4, Figures 3–4).
+// It is the scalar definition, one common-neighbor merge per z: the LOCAL
+// protocol evaluates it edge by edge, and the whole-graph census
+// (SupportedEdges) is checked against it.
 func ExtensionSupport(g *graph.Graph, u, v int32, a int) int {
 	b := 0
 	for _, z := range g.Neighbors(v) {
@@ -44,17 +49,84 @@ func IsSupported(g *graph.Graph, e graph.Edge, a, b int) bool {
 	return ExtensionSupport(g, e.U, e.V, a) >= b || ExtensionSupport(g, e.V, e.U, a) >= b
 }
 
-// SupportedEdges computes, in parallel over edges, whether each edge of g
-// is (a, b)-supported in at least one direction. The result is indexed
-// like g.Edges(). This is the Ê computation of Algorithm 1 line 8 and the
-// dominant cost of the construction (O(Σ_v deg(v)²) common-neighbor
-// counts), hence the parallel sweep.
+// SupportedEdges computes whether each edge of g is (a, b)-supported in
+// at least one direction, indexed like g.Edges(): the Ê census of
+// Algorithm 1 line 8. It is SupportedEdgesWorkers on all cores.
 func SupportedEdges(g *graph.Graph, a, b int) []bool {
-	out := make([]bool, g.M())
-	g.ParallelForEachEdge(func(i int, e graph.Edge) {
-		out[i] = IsSupported(g, e, a, b)
+	return SupportedEdgesWorkers(g, a, b, 0)
+}
+
+// SupportedEdgesWorkers is SupportedEdges on a pool of `workers`
+// goroutines (0 means graph.Workers()). Every boolean equals the scalar
+// IsSupported; the result is identical for every worker count.
+//
+// The census runs per source vertex u rather than per edge. One two-hop
+// walk from u fills a dense codegree row c[z] = |N(u) ∩ N(z)| for every
+// z, after which ext(u → v) for each v ∈ N(u) is a single scan of N(v)
+// counting z ≠ u with c[z] ≥ a+1, stopped as soon as it reaches b. A
+// second two-hop walk zeroes the row for the next source. Each source
+// costs O(Σ_{v∈N(u)} deg v), so the whole census is O(nΔ²), where the
+// scalar definition recounts a common-neighbor merge per (u, v, z)
+// triple, O(nΔ³). The per-direction results land in per-slot entries of
+// the adjacency order and are folded into g.Edges() order afterwards.
+func SupportedEdgesWorkers(g *graph.Graph, a, b, workers int) []bool {
+	n := g.N()
+	// off[u] is the first slot of u's adjacency; dir[off[u]+i] records
+	// whether u → Neighbors(u)[i] is (a, b)-supported.
+	off := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		off[u+1] = off[u] + g.Degree(int32(u))
+	}
+	dir := make([]bool, off[n])
+	rows := make([][]int32, graph.WorkersFor(workers, n))
+	graph.ParallelRangeWorkers(n, workers, func(w, lo, hi int) {
+		if rows[w] == nil {
+			rows[w] = make([]int32, n)
+		}
+		c := rows[w]
+		for u := int32(lo); u < int32(hi); u++ {
+			nu := g.Neighbors(u)
+			for _, x := range nu {
+				for _, z := range g.Neighbors(x) {
+					c[z]++
+				}
+			}
+			for i, v := range nu {
+				dir[off[u]+i] = extensionReaches(g, c, u, v, a, b)
+			}
+			for _, x := range nu {
+				for _, z := range g.Neighbors(x) {
+					c[z] = 0
+				}
+			}
+		}
 	})
+	out := make([]bool, g.M())
+	for i, e := range g.Edges() {
+		out[i] = dir[slot(g, off, e.U, e.V)] || dir[slot(g, off, e.V, e.U)]
+	}
 	return out
+}
+
+// extensionReaches reports ExtensionSupport(g, u, v, a) >= b given u's
+// codegree row c, scanning N(v) only until the count reaches b.
+func extensionReaches(g *graph.Graph, c []int32, u, v int32, a, b int) bool {
+	count := 0
+	for _, z := range g.Neighbors(v) {
+		if count >= b {
+			break
+		}
+		if z != u && int(c[z]) >= a+1 {
+			count++
+		}
+	}
+	return count >= b
+}
+
+// slot returns the adjacency slot of the directed edge u → v.
+func slot(g *graph.Graph, off []int, u, v int32) int {
+	i, _ := slices.BinarySearch(g.Neighbors(u), v)
+	return off[u] + i
 }
 
 // ThreeDetour is a 3-hop replacement path u – X – Y – v for an edge (u,v):

@@ -195,7 +195,7 @@ func BuildRegular(g *graph.Graph, opts RegularOptions) (*RegularResult, error) {
 			}
 			for k := lo; k < hi; k++ {
 				e := edges[needCheck[k]]
-				if scratch[w].DistWithin(gPrime, e.U, e.V, 3) == graph.Unreachable {
+				if !scratch[w].WithinThreeHops(gPrime, e.U, e.V) {
 					missing[k] = true
 				}
 			}

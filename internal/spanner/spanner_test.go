@@ -34,18 +34,6 @@ func TestIsSupportedPath(t *testing.T) {
 	}
 }
 
-func TestSupportedEdgesMatchesScalar(t *testing.T) {
-	r := rng.New(1)
-	g := gen.MustRandomRegular(60, 12, r)
-	a, b := 2, 4
-	par := SupportedEdges(g, a, b)
-	for i, e := range g.Edges() {
-		if par[i] != IsSupported(g, e, a, b) {
-			t.Fatalf("edge %d: parallel %v != scalar", i, par[i])
-		}
-	}
-}
-
 func TestCountThreeDetoursK4(t *testing.T) {
 	g := gen.Clique(4)
 	// u=0, v=1; detours 0-2-3-1 and 0-3-2-1.

@@ -26,11 +26,11 @@ done
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== evaluation-kernel determinism suite under -race (serial vs workers=N, incl. bit-parallel BFS)"
+echo "== evaluation-kernel determinism suite under -race (serial vs workers=N, incl. bit-parallel BFS and Algorithm 1's census/detour differential)"
 go test -race -count=1 \
-    -run 'Determinis|AcrossWorker|IdenticalAcross|SamplePairs|Parallel|BitBFS|MultiSource' \
+    -run 'Determinis|AcrossWorker|IdenticalAcross|SamplePairs|Parallel|BitBFS|MultiSource|WithinThreeHops' \
     ./internal/graph/ ./internal/rng/ ./internal/spanner/ \
-    ./internal/routing/ ./internal/experiments/ ./internal/bench/
+    ./internal/routing/ ./internal/experiments/ ./internal/bench/ ./internal/check/
 
 echo "== server fault-injection suite under -race (oversized lines, slow loris, disconnects, shutdown drain)"
 go test -race -count=1 ./internal/server/
